@@ -1,8 +1,9 @@
-//! Micro-benchmark: the DES kernel's event queue (push/pop throughput at
-//! several queue depths) — the hot loop of every campaign simulation.
+//! Micro-benchmark: the DES kernel's timing-wheel event queue (push/pop
+//! throughput at several queue depths) — the hot loop of every campaign
+//! simulation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hc_sim::{EventQueue, SimTime};
+use hc_sim::{SimTime, WheelQueue};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -14,7 +15,7 @@ fn bench_event_queue(c: &mut Criterion) {
             &depth,
             |b, &depth| {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-                let mut q: EventQueue<u64> = EventQueue::with_capacity(depth);
+                let mut q: WheelQueue<u64> = WheelQueue::with_capacity(depth);
                 for i in 0..depth {
                     q.push(SimTime::from_ticks(u64::from(rng.gen::<u32>())), i as u64);
                 }

@@ -1,13 +1,19 @@
-//! Sharded matchmaking: deterministic skill-tier buckets.
+//! The wait pool: random matching with the replay-bot fallback.
 //!
-//! The streaming [`Matchmaker`](crate::Matchmaker) owns one global wait pool
-//! and therefore must live on the serial hub of a sharded run — the Amdahl
-//! bottleneck at planetary scale. [`BucketPool`] is the sharded form: the
-//! wait pool is partitioned by a **deterministic skill tier** (a pure
-//! function of the player's profile, never of the shard layout), each bucket
-//! is owned by one shard (`bucket % shards`), and pairing runs inside the
-//! shard window on worker threads. Only matched pairs and replay-fallback
-//! spillover reduce through the hub, via the key-ordered exchange.
+//! [`BucketPool`] is the one implementation of the paper's random matching
+//! in the tree: an arrival is paired with a uniformly random eligible waiter
+//! (one `gen_range` draw; strict rematch avoidance optional), and a waiter
+//! who crosses the bot-fallback threshold is swept out for a replay bot.
+//! The serial engines reach it through [`Matchmaker`](crate::Matchmaker),
+//! a thin hub-side wrapper that adds the pairing telemetry; the sharded
+//! engine owns one pool per skill tier.
+//!
+//! In a sharded run the wait pool is partitioned by a **deterministic skill
+//! tier** ([`BucketLayout`], a pure function of the player's profile, never
+//! of the shard layout), each bucket is owned by one shard
+//! (`bucket % shards`), and pairing runs inside the shard window on worker
+//! threads. Only matched pairs and replay-fallback spillover reduce through
+//! the hub, via the key-ordered exchange.
 //!
 //! Two properties make this byte-identical at any `--shards×--threads`:
 //!
@@ -18,10 +24,8 @@
 //!    ([`BucketPool::next_deadline`] feeds the shard wake), so sweep timing
 //!    is a pure function of pool contents, not of co-scheduled shard work.
 //!
-//! The pairing algorithm itself — uniform draw over eligible waiters with
-//! optional strict rematch avoidance, replay-bot fallback on timeout — is
-//! exactly the hub-global [`Matchmaker`](crate::Matchmaker)'s; the
-//! equivalence is pinned by property tests in `tests/bucket_props.rs`.
+//! `tests/bucket_props.rs` pins the pool against a minimal in-test oracle of
+//! the pairing procedure and the sharded reduction against a serial run.
 //!
 //! This type is shard-reachable: it must not emit `hc-obs` telemetry (worker
 //! threads carry no collector, so emissions would vary with `--threads`) and
@@ -30,7 +34,7 @@
 use crate::id::PlayerId;
 use crate::matchmaker::{MatchDecision, MatchmakerConfig, MatchmakerStats};
 use hc_collect::DetMap;
-use hc_sim::{OnlineStats, SimTime};
+use hc_sim::{OnlineStats, SimDuration, SimTime};
 use rand::Rng;
 
 /// Number of skill tiers a campaign partitions its wait pool into.
@@ -72,8 +76,8 @@ impl BucketLayout {
     }
 }
 
-/// One skill tier's wait pool: the sharded counterpart of
-/// [`Matchmaker`](crate::Matchmaker).
+/// A wait pool: the whole population's for a serial engine (inside
+/// [`Matchmaker`](crate::Matchmaker)), one skill tier's for a sharded one.
 ///
 /// # Examples
 ///
@@ -88,8 +92,14 @@ impl BucketLayout {
 ///     pool.on_arrival(SimTime::ZERO, PlayerId::new(1), &mut rng),
 ///     MatchDecision::Queued
 /// );
-/// let decision = pool.on_arrival(SimTime::from_secs(2), PlayerId::new(2), &mut rng);
-/// assert!(matches!(decision, MatchDecision::Paired { .. }));
+/// assert_eq!(
+///     pool.on_arrival(SimTime::from_secs(2), PlayerId::new(2), &mut rng),
+///     MatchDecision::Paired {
+///         partner: PlayerId::new(1),
+///         waited: SimDuration::from_secs(2),
+///     }
+/// );
+/// assert_eq!(pool.stats().live_pairs, pool.wait_stats().count());
 /// ```
 #[derive(Debug, Clone)]
 pub struct BucketPool {
@@ -132,11 +142,12 @@ impl BucketPool {
     /// Handles an arriving player: pairs with a uniformly random eligible
     /// waiter or queues them.
     ///
-    /// Identical decision procedure and RNG consumption as
-    /// [`Matchmaker::on_arrival`](crate::Matchmaker::on_arrival) — one
-    /// `gen_range` draw over the eligible count — but allocation-free: the
-    /// eligible set is counted and the k-th candidate re-found in place
-    /// instead of collecting an index vector per arrival.
+    /// Eligible waiters are everyone except the player themself and — under
+    /// strict rematch avoidance — their previous partner. A player whose
+    /// only possible partner is their last one queues instead; the
+    /// replay-bot fallback rescues them if nobody else shows up. The draw is
+    /// one `gen_range` over the eligible count, and the k-th candidate is
+    /// re-found in place, so the arrival path allocates nothing.
     pub fn on_arrival<R: Rng + ?Sized>(
         &mut self,
         now: SimTime,
@@ -170,29 +181,52 @@ impl BucketPool {
         MatchDecision::Paired { partner, waited }
     }
 
-    /// Appends every player whose wait exceeds the bot-fallback threshold
-    /// as of `now` to `out` (in queue order) and removes them from the
-    /// pool; returns how many timed out. The caller pairs each with a
-    /// replay bot. `out` is caller-owned scratch so steady-state sweeps
-    /// allocate nothing.
-    pub fn take_timed_out_into(&mut self, now: SimTime, out: &mut Vec<PlayerId>) -> usize {
+    /// The one timeout sweep, behind [`Self::take_timed_out_into`] and
+    /// `Matchmaker::take_timed_out`: calls `timed_out(player, waited)` for
+    /// each removed player in queue order. Survivors keep their order.
+    pub(crate) fn sweep_timed_out(
+        &mut self,
+        now: SimTime,
+        mut timed_out: impl FnMut(PlayerId, SimDuration),
+    ) -> usize {
         let threshold = self.config.bot_fallback_wait;
-        let before = out.len();
+        let before = self.waiting.len();
         let mut write = 0;
-        for read in 0..self.waiting.len() {
+        for read in 0..before {
             let (entered, player) = self.waiting[read];
-            if now.saturating_since(entered) >= threshold {
-                let waited = now.saturating_since(entered);
+            let waited = now.saturating_since(entered);
+            if waited >= threshold {
                 self.wait_stats.push(waited.as_secs_f64());
                 self.stats.replay_pairs += 1;
-                out.push(player);
+                timed_out(player, waited);
             } else {
                 self.waiting[write] = (entered, player);
                 write += 1;
             }
         }
         self.waiting.truncate(write);
-        out.len() - before
+        before - write
+    }
+
+    /// The timeout sweep into caller-owned scratch: removes every player
+    /// whose wait has reached the bot-fallback threshold as of `now` and
+    /// appends them to `out` in queue order (steady-state sweeps allocate
+    /// nothing); returns how many timed out. The caller pairs each with a
+    /// replay bot.
+    pub fn take_timed_out_into(&mut self, now: SimTime, out: &mut Vec<PlayerId>) -> usize {
+        self.sweep_timed_out(now, |player, _| out.push(player))
+    }
+
+    /// Removes a queued player who quit before pairing (every entry they
+    /// hold). Returns `true` if they were waiting.
+    pub fn abandon(&mut self, player: PlayerId) -> bool {
+        let before = self.waiting.len();
+        self.waiting.retain(|&(_, p)| p != player);
+        let removed = self.waiting.len() != before;
+        if removed {
+            self.stats.abandonments += 1;
+        }
+        removed
     }
 
     /// Drains the entire pool (end-of-run abandonment), appending the
@@ -238,8 +272,6 @@ impl BucketPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Matchmaker;
-    use hc_sim::SimDuration;
     use rand::SeedableRng;
 
     fn rng() -> rand::rngs::StdRng {
@@ -263,32 +295,35 @@ mod tests {
     }
 
     #[test]
-    fn pool_matches_hub_global_matchmaker_pairing_sequence() {
-        // Same arrivals, same RNG stream: the pool must reproduce the
-        // hub-global matchmaker's decisions draw for draw.
-        let cfg = MatchmakerConfig::default();
-        let mut pool = BucketPool::new(cfg);
-        let mut hub = Matchmaker::new(cfg);
-        let mut r_pool = rng();
-        let mut r_hub = rng();
-        let arrivals: Vec<(u64, u64)> = (0..200).map(|i| (i / 3, 1 + i % 37)).collect();
-        for (sec, id) in arrivals {
-            let at = t(sec);
-            let p = PlayerId::new(id);
-            assert_eq!(
-                pool.on_arrival(at, p, &mut r_pool),
-                hub.on_arrival(at, p, &mut r_hub)
-            );
+    fn rematch_avoidance_queues_a_returning_pair() {
+        for avoid_rematch in [true, false] {
+            let mut r = rng();
+            let mut pool = BucketPool::new(MatchmakerConfig {
+                avoid_rematch,
+                ..MatchmakerConfig::default()
+            });
+            pool.on_arrival(t(0), PlayerId::new(1), &mut r);
+            pool.on_arrival(t(0), PlayerId::new(2), &mut r);
+            pool.on_arrival(t(1), PlayerId::new(1), &mut r);
+            let again = pool.on_arrival(t(2), PlayerId::new(2), &mut r);
+            if avoid_rematch {
+                assert_eq!(again, MatchDecision::Queued);
+                // A third player pairs with either waiter.
+                assert!(matches!(
+                    pool.on_arrival(t(3), PlayerId::new(3), &mut r),
+                    MatchDecision::Paired { .. }
+                ));
+                assert_eq!(pool.queue_len(), 1);
+            } else {
+                assert!(
+                    matches!(again, MatchDecision::Paired { partner, .. } if partner == PlayerId::new(1))
+                );
+            }
         }
-        let mut spill = Vec::new();
-        pool.take_timed_out_into(t(100), &mut spill);
-        assert_eq!(spill, hub.take_timed_out(t(100)));
-        assert_eq!(pool.stats(), hub.stats());
-        assert_eq!(pool.wait_stats().count(), hub.wait_stats().count());
     }
 
     #[test]
-    fn timeout_sweep_is_in_queue_order_and_reuses_scratch() {
+    fn timeout_sweep_is_in_queue_order_and_reports_waits() {
         let cfg = MatchmakerConfig {
             bot_fallback_wait: SimDuration::from_secs(10),
             avoid_rematch: false,
@@ -300,13 +335,61 @@ mod tests {
         pool.on_arrival(t(5), PlayerId::new(1), &mut r);
         let mut out = Vec::new();
         assert_eq!(pool.take_timed_out_into(t(9), &mut out), 0);
-        assert_eq!(pool.take_timed_out_into(t(11), &mut out), 2);
-        assert_eq!(out, vec![PlayerId::new(1), PlayerId::new(1)]);
+        let mut waits = Vec::new();
+        assert_eq!(pool.sweep_timed_out(t(11), |p, w| waits.push((p, w))), 2);
+        assert_eq!(
+            waits,
+            vec![
+                (PlayerId::new(1), SimDuration::from_secs(11)),
+                (PlayerId::new(1), SimDuration::from_secs(10)),
+            ]
+        );
         assert_eq!(pool.queue_len(), 1);
         assert_eq!(pool.next_deadline(), Some(t(15)));
-        out.clear();
-        assert_eq!(pool.abandon_all_into(&mut out), 1);
-        assert_eq!(pool.stats().abandonments, 1);
+        assert!((pool.stats().replay_share() - 1.0).abs() < 1e-12);
+        assert_eq!(pool.take_timed_out_into(t(15), &mut out), 1);
+        assert_eq!(out, vec![PlayerId::new(1)]);
         assert_eq!(pool.next_deadline(), None);
+    }
+
+    #[test]
+    fn abandonment_removes_the_player() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(MatchmakerConfig::default());
+        pool.on_arrival(t(0), PlayerId::new(1), &mut r);
+        pool.on_arrival(t(1), PlayerId::new(1), &mut r); // self-pair refused
+        assert!(pool.abandon(PlayerId::new(1)), "both entries go");
+        assert!(!pool.abandon(PlayerId::new(1)));
+        assert_eq!(pool.queue_len(), 0);
+        pool.on_arrival(t(2), PlayerId::new(2), &mut r);
+        let mut out = Vec::new();
+        assert_eq!(pool.abandon_all_into(&mut out), 1);
+        assert_eq!(out, vec![PlayerId::new(2)]);
+        assert_eq!(pool.stats().abandonments, 2);
+    }
+
+    #[test]
+    fn random_pairing_spreads_partners() {
+        let mut r = rng();
+        let mut pool = BucketPool::new(MatchmakerConfig {
+            avoid_rematch: false,
+            ..MatchmakerConfig::default()
+        });
+        // Refill a pool of 10 waiters 200 times and count partner diversity.
+        let mut drawn = std::collections::BTreeSet::new();
+        for trial in 0..200u64 {
+            for i in 0..10 {
+                pool.on_arrival(t(trial), PlayerId::new(100 + i), &mut r);
+            }
+            for i in 0..10 {
+                let arrival = PlayerId::new(200 + trial * 10 + i);
+                if let MatchDecision::Paired { partner, .. } =
+                    pool.on_arrival(t(trial), arrival, &mut r)
+                {
+                    drawn.insert(partner);
+                }
+            }
+        }
+        assert!(drawn.len() >= 9, "partners drawn: {}", drawn.len());
     }
 }

@@ -74,9 +74,7 @@ pub use bucket::{BucketLayout, BucketPool};
 pub use error::{Error, Result};
 pub use id::{JobId, PlayerId, RoundId, SessionId, TaskId};
 pub use jobs::{Job, JobBook, JobGoal, JobState};
-pub use matchmaker::{
-    BatchMatcher, MatchDecision, Matchmaker, MatchmakerConfig, PairKind, PairingPolicy,
-};
+pub use matchmaker::{BatchMatcher, MatchDecision, Matchmaker, MatchmakerConfig, PairingPolicy};
 pub use metrics::{ContributionLedger, GwapMetrics};
 pub use platform::{Platform, PlatformConfig, VerifiedLabel};
 pub use replay::{RecordedRound, RecordedSession, ReplayStore};
@@ -98,7 +96,7 @@ pub mod prelude {
     pub use crate::id::{JobId, PlayerId, RoundId, SessionId, TaskId};
     pub use crate::jobs::{Job, JobBook, JobGoal, JobState};
     pub use crate::matchmaker::{
-        BatchMatcher, MatchDecision, Matchmaker, MatchmakerConfig, PairKind, PairingPolicy,
+        BatchMatcher, MatchDecision, Matchmaker, MatchmakerConfig, PairingPolicy,
     };
     pub use crate::metrics::{ContributionLedger, GwapMetrics};
     pub use crate::platform::{Platform, PlatformConfig, VerifiedLabel};

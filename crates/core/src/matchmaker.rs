@@ -9,9 +9,13 @@
 //! past session played back as the partner, exactly the single-player
 //! fallback the deployed ESP Game used at low-traffic hours (experiment
 //! F5 measures the fallback share as a function of arrival rate).
+//!
+//! The pairing procedure itself lives in [`BucketPool`]; the
+//! [`Matchmaker`] is its hub-side face and adds only the pairing telemetry,
+//! which the shard-reachable pool must not emit.
 
+use crate::bucket::BucketPool;
 use crate::id::PlayerId;
-use hc_collect::PlayerStore;
 use hc_sim::{SimDuration, SimTime};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -32,15 +36,6 @@ impl Default for MatchmakerConfig {
             avoid_rematch: true,
         }
     }
-}
-
-/// Whether a pairing is two live humans or human + recorded session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PairKind {
-    /// Two live players.
-    Live,
-    /// One live player with a replayed recorded session.
-    Replay,
 }
 
 /// Result of an arrival.
@@ -89,7 +84,28 @@ impl MatchmakerStats {
     }
 }
 
-/// The waiting pool and pairing policy.
+/// Emits the telemetry of one live pairing: `player` arrived and was
+/// paired with `partner`, who had waited `waited`. The serial
+/// [`Matchmaker`] and the sharded engine's hub both report pairs through
+/// here, so a trace counts each pair once whichever engine formed it.
+pub fn record_live_pair(now: SimTime, player: PlayerId, partner: PlayerId, waited: SimDuration) {
+    if hc_obs::active() {
+        hc_obs::counter("core.pairs_live", now.ticks(), 1);
+        hc_obs::observe("core.pair_wait_secs", now.ticks(), waited.as_secs_f64());
+        hc_obs::event(
+            "core",
+            "pair",
+            now.ticks(),
+            &[
+                ("player", u64::from(player).into()),
+                ("partner", u64::from(partner).into()),
+                ("waited_us", waited.ticks().into()),
+            ],
+        );
+    }
+}
+
+/// The hub-side wait pool: one [`BucketPool`] plus the pairing telemetry.
 ///
 /// # Examples
 ///
@@ -108,14 +124,7 @@ impl MatchmakerStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Matchmaker {
-    waiting: Vec<(SimTime, PlayerId)>,
-    // Rematch bookkeeping is checked on every arrival; the store is
-    // lookup/insert only (never iterated), so the dense PlayerStore
-    // swap cannot change any output byte.
-    last_partner: PlayerStore<PlayerId>,
-    config: MatchmakerConfig,
-    stats: MatchmakerStats,
-    wait_stats: hc_sim::OnlineStats,
+    pool: BucketPool,
 }
 
 impl Matchmaker {
@@ -123,140 +132,59 @@ impl Matchmaker {
     #[must_use]
     pub fn new(config: MatchmakerConfig) -> Self {
         Matchmaker {
-            waiting: Vec::new(),
-            last_partner: PlayerStore::new(),
-            config,
-            stats: MatchmakerStats::default(),
-            wait_stats: hc_sim::OnlineStats::new(),
+            pool: BucketPool::new(config),
         }
     }
 
-    /// The active configuration.
+    /// The wait pool, for its configuration, queue length and statistics.
     #[must_use]
-    pub fn config(&self) -> &MatchmakerConfig {
-        &self.config
+    pub fn pool(&self) -> &BucketPool {
+        &self.pool
     }
 
     /// Handles an arriving player: pairs with a random eligible waiter or
-    /// queues them.
+    /// queues them (see [`BucketPool::on_arrival`]).
     pub fn on_arrival<R: Rng + ?Sized>(
         &mut self,
         now: SimTime,
         player: PlayerId,
         rng: &mut R,
     ) -> MatchDecision {
-        // Eligible waiters: everyone except the player themself and — under
-        // strict rematch avoidance — their previous partner. A player whose
-        // only possible partner is their last one queues instead; the
-        // replay-bot fallback rescues them if nobody else shows up.
-        //
-        // The eligible set is counted and the k-th candidate re-found in
-        // place; same single `gen_range` draw (so the same pairings as the
-        // historical index-vector implementation) without the per-arrival
-        // allocation.
-        let last = self.last_partner.get(player.raw()).copied();
-        let eligible = |candidate: PlayerId| {
-            candidate != player && !(self.config.avoid_rematch && Some(candidate) == last)
-        };
-        let count = self.waiting.iter().filter(|&&(_, c)| eligible(c)).count();
-        if count == 0 {
-            self.waiting.push((now, player));
-            return MatchDecision::Queued;
+        let decision = self.pool.on_arrival(now, player, rng);
+        if let MatchDecision::Paired { partner, waited } = decision {
+            record_live_pair(now, player, partner, waited);
         }
-        let k = rng.gen_range(0..count);
-        let pick = self
-            .waiting
-            .iter()
-            .enumerate()
-            .filter(|&(_, &(_, c))| eligible(c))
-            .nth(k)
-            .map(|(i, _)| i)
-            .unwrap_or_default();
-        let (entered, partner) = self.waiting.swap_remove(pick);
-        let waited = now.saturating_since(entered);
-        self.wait_stats.push(waited.as_secs_f64());
-        self.last_partner.insert(player.raw(), partner);
-        self.last_partner.insert(partner.raw(), player);
-        self.stats.live_pairs += 1;
-        if hc_obs::active() {
-            hc_obs::counter("core.pairs_live", now.ticks(), 1);
-            hc_obs::observe("core.pair_wait_secs", now.ticks(), waited.as_secs_f64());
-            hc_obs::event(
-                "core",
-                "pair",
-                now.ticks(),
-                &[
-                    ("player", u64::from(player).into()),
-                    ("partner", u64::from(partner).into()),
-                    ("waited_us", waited.ticks().into()),
-                ],
-            );
-        }
-        MatchDecision::Paired { partner, waited }
+        decision
     }
 
     /// Removes and returns every player whose wait exceeds the bot-fallback
     /// threshold as of `now`. The caller pairs each with a replay bot.
     pub fn take_timed_out(&mut self, now: SimTime) -> Vec<PlayerId> {
-        let threshold = self.config.bot_fallback_wait;
-        let mut timed_out = Vec::new();
-        let mut kept = Vec::new();
         let tracing = hc_obs::active();
-        for (entered, player) in self.waiting.drain(..) {
-            if now.saturating_since(entered) >= threshold {
-                let waited = now.saturating_since(entered);
-                self.wait_stats.push(waited.as_secs_f64());
-                self.stats.replay_pairs += 1;
-                if tracing {
-                    hc_obs::counter("core.pairs_replay", now.ticks(), 1);
-                    hc_obs::observe("core.pair_wait_secs", now.ticks(), waited.as_secs_f64());
-                    hc_obs::event(
-                        "core",
-                        "replay_fallback",
-                        now.ticks(),
-                        &[
-                            ("player", u64::from(player).into()),
-                            ("waited_us", waited.ticks().into()),
-                        ],
-                    );
-                }
-                timed_out.push(player);
-            } else {
-                kept.push((entered, player));
+        let mut timed_out = Vec::new();
+        self.pool.sweep_timed_out(now, |player, waited| {
+            if tracing {
+                hc_obs::counter("core.pairs_replay", now.ticks(), 1);
+                hc_obs::observe("core.pair_wait_secs", now.ticks(), waited.as_secs_f64());
+                hc_obs::event(
+                    "core",
+                    "replay_fallback",
+                    now.ticks(),
+                    &[
+                        ("player", u64::from(player).into()),
+                        ("waited_us", waited.ticks().into()),
+                    ],
+                );
             }
-        }
-        self.waiting = kept;
+            timed_out.push(player);
+        });
         timed_out
     }
 
     /// Removes a queued player who quit before pairing. Returns `true` if
     /// they were waiting.
     pub fn abandon(&mut self, player: PlayerId) -> bool {
-        let before = self.waiting.len();
-        self.waiting.retain(|(_, p)| *p != player);
-        let removed = self.waiting.len() != before;
-        if removed {
-            self.stats.abandonments += 1;
-        }
-        removed
-    }
-
-    /// Number of players currently waiting.
-    #[must_use]
-    pub fn queue_len(&self) -> usize {
-        self.waiting.len()
-    }
-
-    /// Pairing statistics so far.
-    #[must_use]
-    pub fn stats(&self) -> MatchmakerStats {
-        self.stats
-    }
-
-    /// Waiting-time statistics (seconds) over all resolved waits.
-    #[must_use]
-    pub fn wait_stats(&self) -> &hc_sim::OnlineStats {
-        &self.wait_stats
+        self.pool.abandon(player)
     }
 }
 
@@ -386,141 +314,36 @@ mod tests {
     }
 
     #[test]
-    fn first_arrival_queues_second_pairs() {
-        let mut r = rng();
-        let mut mm = Matchmaker::new(MatchmakerConfig::default());
-        assert_eq!(
-            mm.on_arrival(t(0), PlayerId::new(1), &mut r),
-            MatchDecision::Queued
-        );
-        assert_eq!(mm.queue_len(), 1);
-        match mm.on_arrival(t(4), PlayerId::new(2), &mut r) {
-            MatchDecision::Paired { partner, waited } => {
-                assert_eq!(partner, PlayerId::new(1));
-                assert_eq!(waited, SimDuration::from_secs(4));
-            }
-            MatchDecision::Queued => panic!("expected pairing"),
-        }
-        assert_eq!(mm.queue_len(), 0);
-        assert_eq!(mm.stats().live_pairs, 1);
-        assert_eq!(mm.wait_stats().count(), 1);
-    }
-
-    #[test]
-    fn strict_rematch_avoidance_queues_instead() {
-        let mut r = rng();
-        let mut mm = Matchmaker::new(MatchmakerConfig::default());
-        // 1 and 2 get paired.
-        mm.on_arrival(t(0), PlayerId::new(1), &mut r);
-        mm.on_arrival(t(0), PlayerId::new(2), &mut r);
-        // 1 re-queues; 2 arrives but may not rematch — queues too.
-        assert_eq!(
-            mm.on_arrival(t(1), PlayerId::new(1), &mut r),
-            MatchDecision::Queued
-        );
-        assert_eq!(
-            mm.on_arrival(t(2), PlayerId::new(2), &mut r),
-            MatchDecision::Queued
-        );
-        assert_eq!(mm.queue_len(), 2);
-        // A third player pairs with either waiter.
-        assert!(matches!(
-            mm.on_arrival(t(3), PlayerId::new(3), &mut r),
-            MatchDecision::Paired { .. }
-        ));
-        assert_eq!(mm.queue_len(), 1);
-    }
-
-    #[test]
-    fn rematch_allowed_when_avoidance_disabled() {
-        let mut r = rng();
-        let cfg = MatchmakerConfig {
-            avoid_rematch: false,
-            ..MatchmakerConfig::default()
-        };
-        let mut mm = Matchmaker::new(cfg);
-        mm.on_arrival(t(0), PlayerId::new(1), &mut r);
-        mm.on_arrival(t(0), PlayerId::new(2), &mut r);
-        mm.on_arrival(t(1), PlayerId::new(1), &mut r);
-        match mm.on_arrival(t(2), PlayerId::new(2), &mut r) {
-            MatchDecision::Paired { partner, .. } => assert_eq!(partner, PlayerId::new(1)),
-            MatchDecision::Queued => panic!("expected pairing"),
-        }
-    }
-
-    #[test]
-    fn player_never_paired_with_self() {
-        let mut r = rng();
-        let mut mm = Matchmaker::new(MatchmakerConfig::default());
-        mm.on_arrival(t(0), PlayerId::new(1), &mut r);
-        // Same player arriving again (e.g. re-queue) must not self-pair.
-        assert_eq!(
-            mm.on_arrival(t(1), PlayerId::new(1), &mut r),
-            MatchDecision::Queued
-        );
-        assert_eq!(mm.queue_len(), 2);
-    }
-
-    #[test]
-    fn timeout_hands_players_to_replay_bots() {
+    fn wrapper_delegates_to_its_pool() {
+        // Pairing semantics are the pool's (tested in `bucket`); the
+        // wrapper only has to route every call through.
         let mut r = rng();
         let cfg = MatchmakerConfig {
             bot_fallback_wait: SimDuration::from_secs(10),
             avoid_rematch: false,
         };
         let mut mm = Matchmaker::new(cfg);
-        mm.on_arrival(t(0), PlayerId::new(1), &mut r);
-        mm.on_arrival(t(5), PlayerId::new(1), &mut r); // second entry (same id allowed in queue)
-        assert!(mm.take_timed_out(t(9)).is_empty());
-        let out = mm.take_timed_out(t(10));
-        assert_eq!(out, vec![PlayerId::new(1)]);
-        assert_eq!(mm.queue_len(), 1, "the t=5 entry is still within threshold");
-        assert_eq!(mm.stats().replay_pairs, 1);
-        assert!((mm.stats().replay_share() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn abandonment_removes_from_queue() {
-        let mut r = rng();
-        let mut mm = Matchmaker::new(MatchmakerConfig::default());
-        mm.on_arrival(t(0), PlayerId::new(1), &mut r);
-        assert!(mm.abandon(PlayerId::new(1)));
-        assert!(!mm.abandon(PlayerId::new(1)));
-        assert_eq!(mm.queue_len(), 0);
-        assert_eq!(mm.stats().abandonments, 1);
-    }
-
-    #[test]
-    fn random_pairing_spreads_partners() {
-        let mut r = rng();
-        let cfg = MatchmakerConfig {
-            avoid_rematch: false,
-            ..MatchmakerConfig::default()
-        };
-        let mut mm = Matchmaker::new(cfg);
-        // Fill the queue with 10 waiters, then pair 200 arrivals against a
-        // refilled pool and count partner diversity.
-        let mut partner_hist: std::collections::BTreeMap<PlayerId, u32> =
-            std::collections::BTreeMap::new();
-        for trial in 0..200u64 {
-            for i in 0..10 {
-                mm.on_arrival(t(trial), PlayerId::new(100 + i), &mut r);
-            }
-            for i in 0..10 {
-                match mm.on_arrival(t(trial), PlayerId::new(200 + trial * 10 + i), &mut r) {
-                    MatchDecision::Paired { partner, .. } => {
-                        *partner_hist.entry(partner).or_insert(0) += 1;
-                    }
-                    MatchDecision::Queued => {}
-                }
-            }
-        }
-        // All 10 waiters should have been drawn at least once.
-        assert!(
-            partner_hist.len() >= 9,
-            "partners drawn: {}",
-            partner_hist.len()
+        assert_eq!(mm.pool().config(), &cfg);
+        assert_eq!(
+            mm.on_arrival(t(0), PlayerId::new(1), &mut r),
+            MatchDecision::Queued
         );
+        assert!(matches!(
+            mm.on_arrival(t(4), PlayerId::new(2), &mut r),
+            MatchDecision::Paired { .. }
+        ));
+        mm.on_arrival(t(5), PlayerId::new(3), &mut r);
+        assert!(mm.take_timed_out(t(14)).is_empty());
+        assert_eq!(mm.take_timed_out(t(15)), vec![PlayerId::new(3)]);
+        mm.on_arrival(t(16), PlayerId::new(4), &mut r);
+        assert!(mm.abandon(PlayerId::new(4)));
+        assert_eq!(mm.pool().queue_len(), 0);
+        let stats = mm.pool().stats();
+        assert_eq!(
+            (stats.live_pairs, stats.replay_pairs, stats.abandonments),
+            (1, 1, 1)
+        );
+        assert_eq!(mm.pool().wait_stats().count(), 2);
     }
 
     #[test]

@@ -698,7 +698,7 @@ mod tests {
         assert_eq!(p.config().agreement_threshold, 1);
         assert_eq!(p.score_rule().match_points, 100);
         assert_eq!(p.agreement().threshold(), 1);
-        assert_eq!(p.matchmaker().queue_len(), 0);
+        assert_eq!(p.matchmaker().pool().queue_len(), 0);
         assert_eq!(p.replay().covered_tasks(), 0);
         let _ = p.matchmaker_mut();
         let _ = p.replay_mut();

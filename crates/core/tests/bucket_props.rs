@@ -2,9 +2,9 @@
 //!
 //! Two equivalences pin the bucketed design:
 //!
-//! 1. **Pool vs hub-global matchmaker** — fed the same arrivals and the same
-//!    RNG stream, a single [`BucketPool`] reproduces the hub-global
-//!    [`Matchmaker`]'s pairing sequence exactly (decisions, timeouts, stats).
+//! 1. **Pool vs oracle** — fed the same arrivals, sweeps, abandonments and
+//!    RNG stream, a [`BucketPool`] reproduces a minimal in-test oracle of
+//!    the random-matching procedure exactly (decisions, timeouts, stats).
 //! 2. **Sharded vs serial reduction** — distributing buckets over any
 //!    `--shards` layout, stepping shards only when they hold arrivals or a
 //!    sweep deadline is due (the engine's wake discipline), produces the
@@ -13,11 +13,12 @@
 //!    that makes campaign results byte-identical at any layout.
 
 use hc_core::bucket::{BucketLayout, BucketPool};
-use hc_core::matchmaker::{MatchDecision, Matchmaker, MatchmakerConfig};
+use hc_core::matchmaker::{MatchDecision, MatchmakerConfig};
 use hc_core::PlayerId;
 use hc_sim::{RngFactory, SimDuration, SimTime};
 use proptest::prelude::*;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 const WINDOW_SECS: u64 = 10;
 
@@ -37,6 +38,59 @@ enum PoolEvent {
         at: SimTime,
         player: PlayerId,
     },
+}
+
+/// The random-matching procedure written as plainly as possible: collect
+/// the eligible waiters' indices, make one `gen_range` draw over them and
+/// `swap_remove` the pick; sweep timeouts in queue order.
+#[derive(Debug, Default)]
+struct Oracle {
+    waiting: Vec<(SimTime, PlayerId)>,
+    last_partner: BTreeMap<PlayerId, PlayerId>,
+    live: u64,
+    replay: u64,
+}
+
+impl Oracle {
+    fn arrive(
+        &mut self,
+        cfg: MatchmakerConfig,
+        now: SimTime,
+        player: PlayerId,
+        rng: &mut impl Rng,
+    ) -> MatchDecision {
+        let last = self.last_partner.get(&player).copied();
+        let eligible: Vec<usize> = (0..self.waiting.len())
+            .filter(|&i| {
+                let c = self.waiting[i].1;
+                c != player && !(cfg.avoid_rematch && Some(c) == last)
+            })
+            .collect();
+        if eligible.is_empty() {
+            self.waiting.push((now, player));
+            return MatchDecision::Queued;
+        }
+        let (entered, partner) = self
+            .waiting
+            .swap_remove(eligible[rng.gen_range(0..eligible.len())]);
+        self.last_partner.insert(player, partner);
+        self.last_partner.insert(partner, player);
+        self.live += 1;
+        MatchDecision::Paired {
+            partner,
+            waited: now.saturating_since(entered),
+        }
+    }
+
+    fn sweep(&mut self, cfg: MatchmakerConfig, now: SimTime) -> Vec<PlayerId> {
+        let (out, kept): (Vec<_>, Vec<_>) = self
+            .waiting
+            .iter()
+            .partition(|&&(entered, _)| now.saturating_since(entered) >= cfg.bot_fallback_wait);
+        self.waiting = kept;
+        self.replay += out.len() as u64;
+        out.into_iter().map(|(_, p)| p).collect()
+    }
 }
 
 /// One arrival after generation: delivery-windowed and bucketed.
@@ -169,37 +223,52 @@ proptest! {
     }
 
     #[test]
-    fn single_pool_reproduces_hub_global_matchmaker(
+    fn pool_reproduces_the_oracle(
         seed in 0u64..1_000,
+        avoid_rematch in any::<bool>(),
         raw in prop::collection::vec((0u64..120, 1u64..25), 1..150),
     ) {
-        let cfg = MatchmakerConfig::default();
+        let cfg = MatchmakerConfig {
+            avoid_rematch,
+            ..MatchmakerConfig::default()
+        };
         let mut pool = BucketPool::new(cfg);
-        let mut hub = Matchmaker::new(cfg);
+        let mut oracle = Oracle::default();
         let mut r_pool = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut r_hub = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut r_oracle = rand::rngs::StdRng::seed_from_u64(seed);
         let mut arrivals = raw.clone();
         arrivals.sort_unstable();
+        let mut abandoned = 0;
         for (i, &(sec, id)) in arrivals.iter().enumerate() {
             let at = SimTime::from_secs(sec);
             let p = PlayerId::new(id);
             prop_assert_eq!(
                 pool.on_arrival(at, p, &mut r_pool),
-                hub.on_arrival(at, p, &mut r_hub)
+                oracle.arrive(cfg, at, p, &mut r_oracle)
             );
-            // Interleave sweeps so timeout paths are compared too.
+            // Interleave sweeps and abandonments so every path is compared.
             if i % 7 == 6 {
                 let mut spill = Vec::new();
                 pool.take_timed_out_into(at, &mut spill);
-                prop_assert_eq!(spill, hub.take_timed_out(at));
+                prop_assert_eq!(spill, oracle.sweep(cfg, at));
+            }
+            if i % 11 == 10 {
+                let quitter = PlayerId::new(1 + sec % 25);
+                let before = oracle.waiting.len();
+                oracle.waiting.retain(|&(_, w)| w != quitter);
+                let removed = oracle.waiting.len() != before;
+                abandoned += u64::from(removed);
+                prop_assert_eq!(pool.abandon(quitter), removed);
             }
         }
         let horizon = SimTime::from_secs(10_000);
         let mut spill = Vec::new();
         pool.take_timed_out_into(horizon, &mut spill);
-        prop_assert_eq!(spill, hub.take_timed_out(horizon));
-        prop_assert_eq!(pool.stats(), hub.stats());
-        prop_assert_eq!(pool.queue_len(), hub.queue_len());
-        prop_assert_eq!(pool.wait_stats().count(), hub.wait_stats().count());
+        prop_assert_eq!(spill, oracle.sweep(cfg, horizon));
+        prop_assert_eq!(pool.stats().live_pairs, oracle.live);
+        prop_assert_eq!(pool.stats().replay_pairs, oracle.replay);
+        prop_assert_eq!(pool.stats().abandonments, abandoned);
+        prop_assert_eq!(pool.queue_len(), 0);
+        prop_assert_eq!(pool.wait_stats().count(), oracle.live + oracle.replay);
     }
 }

@@ -1,10 +1,12 @@
-//! Regression: the `hc-obs` counters the [`ContributionLedger`] mirrors
-//! into a trace must equal the ledger's own totals exactly, so
-//! `hc-bench trace summary` can report throughput and ALP live without
-//! re-running the experiment.
+//! Regression: the `hc-obs` counters the [`ContributionLedger`] and the
+//! [`Matchmaker`] mirror into a trace must equal their own totals exactly,
+//! so `hc-bench trace summary` can report throughput, ALP and the replay
+//! share live without re-running the experiment.
 
-use hc_core::{ContributionLedger, PlayerId};
-use hc_sim::SimDuration;
+use hc_core::{ContributionLedger, Matchmaker, MatchmakerConfig, PlayerId};
+use hc_obs::RecordData;
+use hc_sim::{SimDuration, SimTime};
+use rand::SeedableRng;
 
 #[test]
 fn ledger_totals_equal_trace_counters() {
@@ -79,4 +81,43 @@ fn no_counters_without_a_recording_scope() {
     assert_eq!(trace.metrics.counter("metrics.outputs"), 0);
     assert_eq!(trace.metrics.counter("metrics.play_us"), 0);
     assert!(trace.records.is_empty());
+}
+
+#[test]
+fn pairing_telemetry_is_emitted_once_per_outcome() {
+    let (mm, trace) = hc_obs::record_scope(0, || {
+        let mut mm = Matchmaker::new(MatchmakerConfig::default());
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        // Bursts of quick arrivals pair live; the long gaps between bursts
+        // strand a waiter past the fallback threshold.
+        let mut now = SimTime::ZERO;
+        for i in 0..60u64 {
+            now += SimDuration::from_secs(if i % 3 == 0 { 15 } else { 2 });
+            mm.take_timed_out(now);
+            mm.on_arrival(now, PlayerId::new(i % 9), &mut rng);
+        }
+        mm.take_timed_out(SimTime::from_secs(1_000));
+        mm
+    });
+    let stats = mm.pool().stats();
+    assert!(stats.live_pairs > 0 && stats.replay_pairs > 0, "{stats:?}");
+    assert_eq!(trace.metrics.counter("core.pairs_live"), stats.live_pairs);
+    assert_eq!(
+        trace.metrics.counter("core.pairs_replay"),
+        stats.replay_pairs
+    );
+    let waits = trace
+        .metrics
+        .histogram("core.pair_wait_secs")
+        .expect("wait histogram recorded");
+    assert_eq!(waits.count, mm.pool().wait_stats().count());
+    let events = |wanted: &str| {
+        trace
+            .records
+            .iter()
+            .filter(|r| matches!(&r.data, RecordData::Event { name, .. } if name == wanted))
+            .count() as u64
+    };
+    assert_eq!(events("pair"), stats.live_pairs);
+    assert_eq!(events("replay_fallback"), stats.replay_pairs);
 }

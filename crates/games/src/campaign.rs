@@ -14,7 +14,7 @@ use hc_collect::DetMap;
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
 use hc_sim::dist::Exponential;
-use hc_sim::{EventQueue, RngFactory, SimRng};
+use hc_sim::{RngFactory, SimRng, WheelQueue};
 
 /// Drives one session of a concrete game between two live players.
 pub trait SessionDriver {
@@ -169,7 +169,7 @@ impl<D: SessionDriver> Campaign<D> {
     pub fn run(&mut self) -> CampaignReport {
         // Every player gets an opening arrival, so the queue's working
         // set is at least the population; size it up front.
-        let mut queue: EventQueue<Ev> = EventQueue::with_capacity(self.config.players.max(16));
+        let mut queue: WheelQueue<Ev> = WheelQueue::with_capacity(self.config.players.max(16));
         let spread = Exponential::new(1.0 / self.config.arrival_spread.as_secs_f64().max(1e-6))
             .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
         let ids: Vec<PlayerId> = self.population.players().iter().map(|p| p.id).collect();
@@ -204,12 +204,12 @@ impl<D: SessionDriver> Campaign<D> {
             metrics: self.platform.metrics(),
             sessions: self.sessions,
             verified: self.platform.verified_labels().len(),
-            matchmaker: self.platform.matchmaker().stats(),
-            mean_wait_secs: self.platform.matchmaker().wait_stats().mean(),
+            matchmaker: self.platform.matchmaker().pool().stats(),
+            mean_wait_secs: self.platform.matchmaker().pool().wait_stats().mean(),
         }
     }
 
-    fn handle_arrival(&mut self, queue: &mut EventQueue<Ev>, now: SimTime, player: PlayerId) {
+    fn handle_arrival(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime, player: PlayerId) {
         {
             let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
             if plan.remaining.is_zero() {
@@ -251,7 +251,7 @@ impl<D: SessionDriver> Campaign<D> {
 
     fn schedule_next(
         &mut self,
-        queue: &mut EventQueue<Ev>,
+        queue: &mut WheelQueue<Ev>,
         end: SimTime,
         player: PlayerId,
         played: SimDuration,

@@ -19,7 +19,7 @@ use hc_collect::DetMap;
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
 use hc_sim::dist::Exponential;
-use hc_sim::{EventQueue, RngFactory, SimRng};
+use hc_sim::{RngFactory, SimRng, WheelQueue};
 use rand::Rng;
 
 /// Maximum answers one seat may produce in one round — the published ESP
@@ -572,8 +572,8 @@ impl EspCampaign {
         // Every player gets an opening arrival (plus the sweep tick), so
         // the queue's working set is at least the population; size it up
         // front instead of regrowing through the arrival storm.
-        let mut queue: EventQueue<CampaignEvent> =
-            EventQueue::with_capacity(self.config.players.max(16) + 1);
+        let mut queue: WheelQueue<CampaignEvent> =
+            WheelQueue::with_capacity(self.config.players.max(16) + 1);
         // First arrivals: exponential spread across the opening window.
         let spread = Exponential::new(1.0 / self.config.arrival_spread.as_secs_f64().max(1e-6))
             .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
@@ -639,7 +639,7 @@ impl EspCampaign {
 
     fn handle_arrival(
         &mut self,
-        queue: &mut EventQueue<CampaignEvent>,
+        queue: &mut WheelQueue<CampaignEvent>,
         now: SimTime,
         player: PlayerId,
     ) {
@@ -680,7 +680,7 @@ impl EspCampaign {
         }
     }
 
-    fn handle_sweep(&mut self, queue: &mut EventQueue<CampaignEvent>, now: SimTime) {
+    fn handle_sweep(&mut self, queue: &mut WheelQueue<CampaignEvent>, now: SimTime) {
         self.platform.set_time(now);
         let timed_out = self.platform.matchmaker_mut().take_timed_out(now);
         for player in timed_out {
@@ -702,7 +702,7 @@ impl EspCampaign {
 
     fn after_session(
         &mut self,
-        queue: &mut EventQueue<CampaignEvent>,
+        queue: &mut WheelQueue<CampaignEvent>,
         end: SimTime,
         player: PlayerId,
         played: SimDuration,
@@ -759,10 +759,10 @@ impl EspCampaign {
         EspCampaignReport {
             metrics,
             precision: self.world.verified_precision(&self.platform),
-            matchmaker: self.platform.matchmaker().stats(),
+            matchmaker: self.platform.matchmaker().pool().stats(),
             live_sessions: self.live_sessions,
             replay_sessions: self.replay_sessions,
-            mean_wait_secs: self.platform.matchmaker().wait_stats().mean(),
+            mean_wait_secs: self.platform.matchmaker().pool().wait_stats().mean(),
         }
     }
 

@@ -603,8 +603,8 @@ impl<D: ShardGame> ShardedCampaign<D> {
 
     /// Hub-side: a bucket pool paired two players; plan and dispatch
     /// the session. The hub also owns the pairing telemetry — bucket
-    /// pools are shard-reachable and must stay silent, so the events
-    /// the serial matchmaker would emit are re-emitted here.
+    /// pools are shard-reachable and must stay silent, so the pair is
+    /// reported here through the serial matchmaker's own emitter.
     fn on_paired(
         &mut self,
         at: SimTime,
@@ -615,20 +615,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
     ) {
         self.platform.set_time(at);
         let seats = [waiter.id, arriver.id];
-        if hc_obs::active() {
-            hc_obs::counter("core.pairs_live", at.ticks(), 1);
-            hc_obs::observe("core.pair_wait_secs", at.ticks(), waited.as_secs_f64());
-            hc_obs::event(
-                "core",
-                "pair",
-                at.ticks(),
-                &[
-                    ("player", u64::from(arriver.id).into()),
-                    ("partner", u64::from(waiter.id).into()),
-                    ("waited_us", waited.ticks().into()),
-                ],
-            );
-        }
+        hc_core::matchmaker::record_live_pair(at, arriver.id, waiter.id, waited);
         let sid = self.session_ids.next();
         let rounds = self
             .driver

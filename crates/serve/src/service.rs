@@ -279,7 +279,7 @@ impl Service {
             Request::Aggregate { job, threshold } => self.aggregate(*job, *threshold),
             Request::Metrics => Ok(Response::MetricsReport {
                 players: self.players.len() as u64,
-                waiting: self.platform.matchmaker().queue_len() as u32,
+                waiting: self.platform.matchmaker().pool().queue_len() as u32,
                 live_sessions: self.sessions.len() as u32,
                 sessions_recorded: self.sessions_recorded,
                 verified_labels: self.platform.verified_labels().len() as u64,
@@ -310,7 +310,7 @@ impl Service {
                 self.players.insert(player, SessionPhase::Waiting);
                 Ok(Response::SessionQueued {
                     player,
-                    waiting: self.platform.matchmaker().queue_len() as u32,
+                    waiting: self.platform.matchmaker().pool().queue_len() as u32,
                 })
             }
             MatchDecision::Paired { partner, .. } => {

@@ -33,6 +33,21 @@ fn malformed_lines_become_invalid_request_responses() {
 }
 
 #[test]
+fn deeply_nested_lines_are_refused_not_fatal() {
+    let mut svc = Service::new(ServiceConfig::default()).expect("config valid");
+    let reply = handle_line(&"[".repeat(100_000), &mut svc);
+    let parsed: Response = serde_json::from_str(&reply).expect("reply decodes");
+    assert!(parsed.is_error());
+    // The same service still answers a valid request.
+    let ok = handle_line(
+        &serde_json::to_string(&Request::RegisterWorker).expect("encodes"),
+        &mut svc,
+    );
+    let parsed: Response = serde_json::from_str(&ok).expect("reply decodes");
+    assert!(matches!(parsed, Response::WorkerRegistered { .. }));
+}
+
+#[test]
 fn render_response_is_parseable_json() {
     let rendered = render_response(&Response::MetricsReport {
         players: 0,

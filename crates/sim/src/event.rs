@@ -1,10 +1,15 @@
-//! A stable, deterministic event queue.
+//! A stable, deterministic binary-heap event queue — the reference model.
 //!
-//! [`EventQueue`] is the heart of the DES kernel: a min-priority queue keyed
-//! on [`SimTime`]. Ties are broken by **insertion order** (a monotone
-//! sequence number), which is what makes simulations deterministic — two
-//! events scheduled for the same instant always fire in the order they were
-//! scheduled, regardless of heap internals.
+//! [`EventQueue`] is a min-priority queue keyed on [`SimTime`]. Ties are
+//! broken by **insertion order** (a monotone sequence number), which is what
+//! makes simulations deterministic — two events scheduled for the same
+//! instant always fire in the order they were scheduled, regardless of heap
+//! internals.
+//!
+//! No campaign engine runs on it: they all use the timing wheel
+//! [`WheelQueue`](crate::WheelQueue). The heap stays because it is obviously
+//! correct, so the wheel's property tests (`tests/wheel_props.rs`) and the
+//! shard engine's serial reference (`tests/shard_props.rs`) check against it.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

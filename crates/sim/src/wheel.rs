@@ -1,7 +1,9 @@
 //! A hierarchical timing-wheel event queue.
 //!
-//! [`WheelQueue`] is a drop-in replacement for [`EventQueue`](crate::EventQueue)
-//! with the same observable semantics — events pop in `(time, seq)` order, so
+//! [`WheelQueue`] is the event queue of every campaign engine: the serial
+//! ESP and generic campaign loops and the sharded engine's shards. It has
+//! the observable semantics of the heap reference model
+//! [`EventQueue`](crate::EventQueue) — events pop in `(time, seq)` order, so
 //! simultaneous events fire in FIFO (scheduling) order — but O(1) amortized
 //! insert and pop instead of the heap's O(log n). The near-horizon events that
 //! dominate session scheduling land in the lowest wheel level and never touch
