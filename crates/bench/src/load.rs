@@ -31,6 +31,7 @@ use hc_core::{Answer, Label, PlatformConfig, PlayerId, SessionId, Stimulus, Tabo
 use hc_crowd::{Behavior, LabelDistribution, Vocabulary};
 use hc_serve::{Request, Response, RoundOutcome, ServeError, Service, ServiceConfig, SessionPhase};
 use hc_sim::{run_replications, RngFactory, SimDuration, SimTime};
+use serde::Serialize;
 use serde_json::Value;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -409,17 +410,12 @@ pub fn fnv1a64(bytes: &[u8]) -> String {
 }
 
 fn log_line(request: &Request, response: &Response) -> String {
-    let record = Value::Object(vec![
-        (
-            "request".to_string(),
-            serde_json::to_value(request).unwrap_or(Value::Null),
-        ),
-        (
-            "response".to_string(),
-            serde_json::to_value(response).unwrap_or(Value::Null),
-        ),
-    ]);
-    record.to_string()
+    let mut line = String::from("{\"request\":");
+    request.serialize(&mut line);
+    line.push_str(",\"response\":");
+    response.serialize(&mut line);
+    line.push('}');
+    line
 }
 
 /// Latency floors come from replaying the identical scenario this many

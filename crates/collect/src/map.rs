@@ -13,7 +13,8 @@
 //! re-insertion replay would produce.
 
 use crate::hash::hash_one;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::de::Deserializer;
+use serde::{DeError, Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::hash::Hash;
 
@@ -384,12 +385,8 @@ impl<K, V> IntoIterator for DetMap<K, V> {
 /// Serializes in **sorted key order** — byte-identical to the same data
 /// held in a `BTreeMap` (an array of `[key, value]` pairs).
 impl<K: Serialize + Hash + Eq + Ord, V: Serialize> Serialize for DetMap<K, V> {
-    fn serialize_value(&self) -> Value {
-        Value::Array(
-            self.iter_sorted()
-                .map(|(k, v)| Value::Array(vec![k.serialize_value(), v.serialize_value()]))
-                .collect(),
-        )
+    fn serialize(&self, out: &mut String) {
+        serde::serialize_map(self.iter_sorted(), out);
     }
 }
 
@@ -398,25 +395,12 @@ where
     K: Deserialize<'de> + Hash + Eq,
     V: Deserialize<'de>,
 {
-    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => {
-                let mut map = DetMap::with_capacity(items.len());
-                for pair in items {
-                    match pair {
-                        Value::Array(kv) if kv.len() == 2 => {
-                            map.insert(
-                                K::deserialize_value(&kv[0])?,
-                                V::deserialize_value(&kv[1])?,
-                            );
-                        }
-                        other => return Err(DeError::expected("[key, value] pair", other)),
-                    }
-                }
-                Ok(map)
-            }
-            other => Err(DeError::expected("map as array of pairs", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, DeError> {
+        let mut map = DetMap::new();
+        serde::deserialize_map(de, |k, v| {
+            map.insert(k, v);
+        })?;
+        Ok(map)
     }
 }
 
@@ -660,9 +644,10 @@ mod tests {
         let mut btree = BTreeMap::new();
         btree.insert("b".to_string(), 2u64);
         btree.insert("a".to_string(), 1u64);
-        assert_eq!(det.serialize_value(), btree.serialize_value());
-        let back: DetMap<String, u64> =
-            Deserialize::deserialize_value(&det.serialize_value()).expect("round-trip");
+        let json = serde_json::to_string(&det).expect("encodes");
+        assert_eq!(json, serde_json::to_string(&btree).expect("encodes"));
+        assert_eq!(json, r#"[["a",1],["b",2]]"#);
+        let back: DetMap<String, u64> = serde_json::from_str(&json).expect("round-trip");
         assert_eq!(back, det);
     }
 

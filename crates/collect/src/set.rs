@@ -5,7 +5,8 @@
 //! [`iter_sorted`](DetSet::iter_sorted) for serialization boundaries.
 
 use crate::map::DetMap;
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::de::Deserializer;
+use serde::{DeError, Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::hash::Hash;
 
@@ -174,23 +175,14 @@ impl<T> IntoIterator for DetSet<T> {
 /// Serializes in **sorted order** — byte-identical to the same data held
 /// in a `BTreeSet` (a plain array of elements).
 impl<T: Serialize + Hash + Eq + Ord> Serialize for DetSet<T> {
-    fn serialize_value(&self) -> Value {
-        Value::Array(self.iter_sorted().map(Serialize::serialize_value).collect())
+    fn serialize(&self, out: &mut String) {
+        serde::serialize_seq(self.iter_sorted(), out);
     }
 }
 
 impl<'de, T: Deserialize<'de> + Hash + Eq> Deserialize<'de> for DetSet<T> {
-    fn deserialize_value(value: &Value) -> Result<Self, DeError> {
-        match value {
-            Value::Array(items) => {
-                let mut set = DetSet::with_capacity(items.len());
-                for item in items {
-                    set.insert(T::deserialize_value(item)?);
-                }
-                Ok(set)
-            }
-            other => Err(DeError::expected("array", other)),
-        }
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, DeError> {
+        serde::deserialize_seq(de)
     }
 }
 
@@ -236,9 +228,10 @@ mod tests {
         use std::collections::BTreeSet;
         let det: DetSet<String> = ["b", "a"].into_iter().map(String::from).collect();
         let btree: BTreeSet<String> = ["b", "a"].into_iter().map(String::from).collect();
-        assert_eq!(det.serialize_value(), btree.serialize_value());
-        let back: DetSet<String> =
-            Deserialize::deserialize_value(&det.serialize_value()).expect("round-trip");
+        let json = serde_json::to_string(&det).expect("encodes");
+        assert_eq!(json, serde_json::to_string(&btree).expect("encodes"));
+        assert_eq!(json, r#"["a","b"]"#);
+        let back: DetSet<String> = serde_json::from_str(&json).expect("round-trip");
         assert_eq!(back, det);
     }
 

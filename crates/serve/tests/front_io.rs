@@ -108,3 +108,64 @@ fn tcp_front_serves_a_connection_to_eof() {
         other => panic!("unexpected: {other:?}"),
     }
 }
+
+#[test]
+fn over_long_and_non_utf8_lines_get_one_error_and_the_stream_resynchronises() {
+    use hc_serve::front::MAX_LINE_BYTES;
+    use hc_serve::ServeError;
+
+    let front = Front::bind("127.0.0.1:0").expect("bind");
+    let addr = front.local_addr().expect("addr");
+    let client = std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let mut writer = stream.try_clone().expect("clone");
+        let register = serde_json::to_string(&Request::RegisterWorker).expect("encodes");
+        // Exactly at the cap: a valid request padded with whitespace.
+        let at_cap = register.clone() + &" ".repeat(MAX_LINE_BYTES - register.len());
+        // One byte over the cap: the same request plus one more space.
+        let over_cap = format!("{at_cap} ");
+        let metrics = serde_json::to_string(&Request::Metrics).expect("encodes");
+        for line in [
+            at_cap.as_bytes(),
+            over_cap.as_bytes(),
+            b"\xff\xfe",
+            metrics.as_bytes(),
+        ] {
+            writer.write_all(line).expect("write");
+            writer.write_all(b"\n").expect("write");
+        }
+        stream
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        let reader = BufReader::new(stream);
+        reader
+            .lines()
+            .map(|l| serde_json::from_str::<Response>(&l.expect("read")).expect("decodes"))
+            .collect::<Vec<_>>()
+    });
+
+    let mut svc = Service::new(ServiceConfig::default()).expect("config valid");
+    let handled = front.serve_one(&mut svc).expect("serve");
+    assert_eq!(handled, 4);
+
+    let replies = client.join().expect("client thread");
+    assert_eq!(replies.len(), 4);
+    assert!(matches!(replies[0], Response::WorkerRegistered { .. }));
+    let reason = |reply: &Response| match reply {
+        Response::Error {
+            error: ServeError::InvalidRequest { reason },
+        } => reason.clone(),
+        other => panic!("unexpected: {other:?}"),
+    };
+    assert_eq!(
+        reason(&replies[1]),
+        format!("request line exceeds {MAX_LINE_BYTES} bytes")
+    );
+    assert_eq!(reason(&replies[2]), "request line is not UTF-8");
+    // The over-long line registered nobody, and each later line was read
+    // from its own start.
+    match &replies[3] {
+        Response::MetricsReport { players, .. } => assert_eq!(*players, 1),
+        other => panic!("unexpected: {other:?}"),
+    }
+}
