@@ -11,7 +11,7 @@
 use hc_bench::{f1, f3, seed_from_args, Table};
 use hc_core::prelude::*;
 use hc_crowd::{ArchetypeMix, PopulationBuilder};
-use hc_games::{tagatune::play_tagatune_session, TagATuneWorld, WorldConfig};
+use hc_games::{tagatune::play_tagatune_session, SessionParams, TagATuneWorld, WorldConfig};
 use hc_sim::RngFactory;
 use serde::Serialize;
 
@@ -87,10 +87,7 @@ fn main() {
                 &mut platform,
                 &world,
                 &mut pop,
-                a,
-                b,
-                SessionId::new(s),
-                SimTime::from_secs(s * 1_000),
+                SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
                 0.5,
                 &mut rng,
             );

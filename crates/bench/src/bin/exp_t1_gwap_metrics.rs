@@ -152,7 +152,7 @@ fn main() {
             &mut pop,
             &mut rng,
             |pf, pop, a, b, sid, t0, r| {
-                play_tagatune_session(pf, &world, pop, a, b, sid, t0, 0.5, r)
+                play_tagatune_session(pf, &world, pop, SessionParams::pair(a, b, sid, t0), 0.5, r)
             },
         );
         emit(
@@ -176,7 +176,9 @@ fn main() {
             &mut platform,
             &mut pop,
             &mut rng,
-            |pf, pop, a, b, sid, t0, r| play_verbosity_session(pf, &world, pop, a, b, sid, t0, r),
+            |pf, pop, a, b, sid, t0, r| {
+                play_verbosity_session(pf, &world, pop, SessionParams::pair(a, b, sid, t0), r)
+            },
         );
         emit(
             &mut table,
@@ -206,10 +208,7 @@ fn main() {
                 &mut platform,
                 &world,
                 &mut pop,
-                a,
-                b,
-                SessionId::new(s),
-                SimTime::from_secs(s * 1_000),
+                SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
                 &mut rng,
             );
             let _ = t;
@@ -244,10 +243,7 @@ fn main() {
                 &mut platform,
                 &world,
                 &mut pop,
-                a,
-                b,
-                SessionId::new(s),
-                SimTime::from_secs(s * 1_000),
+                SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
                 &mut rng,
             );
             outputs += out.segmentations.len() as u64;
@@ -284,10 +280,7 @@ fn main() {
                     &mut platform,
                     &world,
                     &mut pop,
-                    a,
-                    b,
-                    SessionId::new(s),
-                    SimTime::from_secs(s * 1_000),
+                    SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
                     &mut ranking,
                     &mut rng,
                 );

@@ -6,16 +6,17 @@
 //! those; [`Label`] is a *normalized* free-text label, the currency of the
 //! verification layer.
 
-use crate::text::normalize_label;
-use serde::{Deserialize, Serialize};
+use crate::text::{is_normalized, normalize_label};
+use serde::de::Deserializer;
+use serde::{DeError, Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
 
 /// A normalized free-text label.
 ///
 /// Construction always normalizes (see [`crate::text::normalize_label`]),
-/// so two `Label`s compare equal exactly when the platform considers the
-/// underlying strings to agree.
+/// decoding from the wire included, so two `Label`s compare equal exactly
+/// when the platform considers the underlying strings to agree.
 ///
 /// # Examples
 ///
@@ -24,8 +25,21 @@ use std::fmt;
 /// assert_eq!(Label::new("  Dogs! "), Label::new("dog"));
 /// assert_eq!(Label::new("Hot Dog").as_str(), "hot dog");
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub struct Label(String);
+
+/// Decoding normalizes like [`Label::new`]; text that is already
+/// normalized (the common case on the wire) is kept without a copy.
+impl<'de> Deserialize<'de> for Label {
+    fn deserialize(de: &mut Deserializer<'de>) -> Result<Self, DeError> {
+        let raw = String::deserialize(de)?;
+        Ok(if is_normalized(&raw) {
+            Label(raw)
+        } else {
+            Label::new(&raw)
+        })
+    }
+}
 
 impl Label {
     /// Builds a label, normalizing `raw`.
@@ -230,6 +244,16 @@ mod tests {
         assert!(Label::new("!?!").is_empty());
         assert_eq!(Label::new("dog").len(), 3);
         assert_eq!(Label::new("dog").to_string(), "dog");
+    }
+
+    #[test]
+    fn labels_normalize_when_decoded() {
+        let decode = |json: &str| serde_json::from_str::<Label>(json).unwrap();
+        assert_eq!(decode(r#""  CAT! ""#), Label::new("cat"));
+        assert_eq!(decode(r#""Hot   Dogs""#).as_str(), "hot dog");
+        // Already-normalized text decodes unchanged.
+        assert_eq!(decode(r#""tabby cat""#).as_str(), "tabby cat");
+        assert!(serde_json::from_str::<Label>("7").is_err());
     }
 
     #[test]

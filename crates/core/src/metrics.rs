@@ -51,6 +51,37 @@ impl std::fmt::Display for GwapMetrics {
     }
 }
 
+impl GwapMetrics {
+    /// The three metrics of `total_outputs` verified over
+    /// `total_human_hours` of play by `player_count` distinct players.
+    /// With no play time or no players every rate is 0 (never NaN).
+    #[must_use]
+    pub(crate) fn from_totals(
+        total_outputs: u64,
+        total_human_hours: f64,
+        player_count: u64,
+    ) -> Self {
+        let throughput = if total_human_hours > 0.0 {
+            total_outputs as f64 / total_human_hours
+        } else {
+            0.0
+        };
+        let alp = if player_count > 0 {
+            total_human_hours / player_count as f64
+        } else {
+            0.0
+        };
+        GwapMetrics {
+            throughput_per_human_hour: throughput,
+            alp_hours: alp,
+            expected_contribution: throughput * alp,
+            total_outputs,
+            total_human_hours,
+            player_count,
+        }
+    }
+}
+
 /// Accumulates per-player play time and verified outputs.
 ///
 /// # Examples
@@ -145,39 +176,11 @@ impl ContributionLedger {
     /// players every rate is 0 (never NaN).
     #[must_use]
     pub fn metrics(&self) -> GwapMetrics {
-        let hours = self.total_human_hours();
-        let players = self.player_count();
-        let throughput = if hours > 0.0 {
-            self.total_outputs as f64 / hours
-        } else {
-            0.0
-        };
-        let alp = if players > 0 {
-            hours / players as f64
-        } else {
-            0.0
-        };
-        GwapMetrics {
-            throughput_per_human_hour: throughput,
-            alp_hours: alp,
-            expected_contribution: throughput * alp,
-            total_outputs: self.total_outputs,
-            total_human_hours: hours,
-            player_count: players,
-        }
-    }
-
-    /// Merges another ledger into this one (per-player times add).
-    ///
-    /// Deliberately does *not* re-emit `hc-obs` counters: the other
-    /// ledger's `record_play`/`record_outputs` calls already emitted
-    /// them when they happened, so merging must not double-count.
-    pub fn merge(&mut self, other: &ContributionLedger) {
-        for (p, d) in other.play_time.iter() {
-            let entry = self.play_time.get_or_insert_with(p, || SimDuration::ZERO);
-            *entry += *d;
-        }
-        self.total_outputs += other.total_outputs;
+        GwapMetrics::from_totals(
+            self.total_outputs,
+            self.total_human_hours(),
+            self.player_count(),
+        )
     }
 }
 
@@ -234,25 +237,6 @@ mod tests {
         let m = l.metrics();
         assert_eq!(m.throughput_per_human_hour, 0.0);
         assert_eq!(m.total_outputs, 10);
-    }
-
-    #[test]
-    fn merge_adds_per_player_and_outputs() {
-        let mut a = ContributionLedger::new();
-        a.record_play(PlayerId::new(1), SimDuration::from_hours(1));
-        a.record_outputs(5);
-        let mut b = ContributionLedger::new();
-        b.record_play(PlayerId::new(1), SimDuration::from_hours(1));
-        b.record_play(PlayerId::new(2), SimDuration::from_hours(2));
-        b.record_outputs(7);
-        a.merge(&b);
-        assert_eq!(a.total_outputs(), 12);
-        assert_eq!(a.player_count(), 2);
-        assert_eq!(
-            a.lifetime_of(PlayerId::new(1)),
-            Some(SimDuration::from_hours(2))
-        );
-        assert!((a.total_human_hours() - 4.0).abs() < 1e-12);
     }
 
     #[test]

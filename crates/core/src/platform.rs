@@ -415,6 +415,20 @@ impl Platform {
         self.ledger.metrics()
     }
 
+    /// Campaign metrics: the ledger's verified outputs over its live play
+    /// time plus `solo_play`, the time spent in solo sessions against
+    /// replay bots (which [`Platform::record_session`] never sees). The
+    /// player count is the larger of the two ledgers'. With an empty
+    /// `solo_play` this equals [`Platform::metrics`] bit for bit.
+    #[must_use]
+    pub fn metrics_with(&self, solo_play: &ContributionLedger) -> GwapMetrics {
+        GwapMetrics::from_totals(
+            self.ledger.total_outputs(),
+            self.ledger.total_human_hours() + solo_play.total_human_hours(),
+            self.ledger.player_count().max(solo_play.player_count()),
+        )
+    }
+
     /// Access to the task store.
     #[must_use]
     pub fn tasks(&self) -> &TaskQueue {

@@ -49,24 +49,62 @@ pub fn normalize_label(raw: &str) -> String {
 /// trailing `-s` (not `-ss`, not `-us`, not `-is`) → drop `s`.
 #[must_use]
 pub fn singularize(word: &str) -> String {
-    let w = word;
-    if w.len() > 3 && w.ends_with("ies") {
-        return format!("{}y", &w[..w.len() - 3]); // hc-analyze: allow(P1): ends_with("ies") guarantees an ASCII suffix at least 3 bytes long
+    match plural_suffix(word) {
+        Some((strip, append)) => {
+            let mut singular = word[..word.len() - strip].to_string(); // hc-analyze: allow(P1): plural_suffix only matches an ASCII suffix at least `strip` bytes long
+            singular.push_str(append);
+            singular
+        }
+        None => word.to_string(),
     }
-    if w.len() > 3
+}
+
+/// The plural rule [`singularize`] applies to `word`: how many trailing
+/// bytes it strips and what it appends, or `None` when it leaves the
+/// word alone.
+fn plural_suffix(w: &str) -> Option<(usize, &'static str)> {
+    if w.len() > 3 && w.ends_with("ies") {
+        Some((3, "y"))
+    } else if w.len() > 3
         && (w.ends_with("xes") || w.ends_with("ses") || w.ends_with("shes") || w.ends_with("ches"))
     {
-        return w[..w.len() - 2].to_string(); // hc-analyze: allow(P1): ends_with guarantees an ASCII suffix at least 2 bytes long
-    }
-    if w.len() > 2
+        Some((2, ""))
+    } else if w.len() > 2
         && w.ends_with('s')
         && !w.ends_with("ss")
         && !w.ends_with("us")
         && !w.ends_with("is")
     {
-        return w[..w.len() - 1].to_string(); // hc-analyze: allow(P1): trailing ASCII s checked; len > 2
+        Some((1, ""))
+    } else {
+        None
     }
-    w.to_string()
+}
+
+/// `true` when `s` is plain ASCII that [`normalize_label`] returns
+/// unchanged: lowercase letters and digits in words separated by single
+/// spaces, none of which [`singularize`] would change. A check that never
+/// allocates, for hot paths that receive already-normalized text; `false`
+/// only means "normalize to be sure" (non-ASCII text always says `false`).
+#[must_use]
+pub(crate) fn is_normalized(s: &str) -> bool {
+    // One pass over the bytes; only a word ending in `s` can be a plural,
+    // so the per-word rule runs just when one does.
+    let mut prev = b' ';
+    let mut ends_in_s = false;
+    for &b in s.as_bytes() {
+        match b {
+            b'a'..=b'z' | b'0'..=b'9' => {}
+            b' ' if prev != b' ' => ends_in_s |= prev == b's',
+            // Anything else, or a leading or repeated space.
+            _ => return false,
+        }
+        prev = b;
+    }
+    s.is_empty()
+        || prev != b' '
+            && (!(ends_in_s || prev == b's')
+                || s.split(' ').all(|word| plural_suffix(word).is_none()))
 }
 
 /// Classic dynamic-programming Levenshtein edit distance (two-row variant,
@@ -168,6 +206,50 @@ mod tests {
         assert_eq!(singularize("tennis"), "tennis");
         assert_eq!(singularize("is"), "is");
         assert_eq!(singularize("as"), "as");
+    }
+
+    #[test]
+    fn fast_check_accepts_only_fixed_points() {
+        for s in [
+            "",
+            "cat",
+            "hot dog",
+            "glass",
+            "bus",
+            "tennis",
+            "w42",
+            "kindof w7",
+        ] {
+            assert!(is_normalized(s), "{s:?}");
+            assert_eq!(normalize_label(s), s);
+        }
+        // Plurals, case, punctuation, stray spaces, non-ASCII, and "ros"
+        // (which `singularize` still shortens to "ro").
+        for s in [
+            "cats", "Cat", "cat!", " cat", "cat ", "hot  dog", "café", "ros",
+        ] {
+            assert!(!is_normalized(s), "{s:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn is_normalized_implies_normalize_is_identity(
+            s in "([a-z0-9]{0,3}[esixhcuy]{0,3} ?){0,3}[-a-zA-Z0-9 !.]{0,4}",
+        ) {
+            if is_normalized(&s) {
+                proptest::prop_assert_eq!(normalize_label(&s), s);
+            }
+        }
+
+        #[test]
+        fn plain_words_pass_the_fast_check_unless_singularize_moves_them(
+            words in proptest::collection::vec("[a-z0-9]{1,8}", 1..4),
+        ) {
+            let s = words.join(" ");
+            let fixed = words.iter().all(|w| singularize(w) == *w);
+            proptest::prop_assert_eq!(is_normalized(&s), fixed);
+        }
     }
 
     #[test]

@@ -40,38 +40,6 @@ fn ledger_totals_equal_trace_counters() {
 }
 
 #[test]
-fn merging_ledgers_does_not_double_count() {
-    let ((merged, standalone), trace) = hc_obs::record_scope(0, || {
-        let mut a = ContributionLedger::new();
-        a.record_play(PlayerId::new(1), SimDuration::from_mins(30));
-        a.record_outputs(5);
-        let mut b = ContributionLedger::new();
-        b.record_play(PlayerId::new(1), SimDuration::from_mins(30));
-        b.record_play(PlayerId::new(2), SimDuration::from_mins(60));
-        b.record_outputs(7);
-        let standalone = b.clone();
-        a.merge(&b);
-        (a, standalone)
-    });
-    // Every record_play/record_outputs call was counted exactly once;
-    // merge() itself emitted nothing.
-    assert_eq!(
-        trace.metrics.counter("metrics.outputs"),
-        merged.total_outputs()
-    );
-    assert_eq!(
-        trace.metrics.counter("metrics.play_us"),
-        SimDuration::from_mins(120).ticks()
-    );
-    // `metrics.players` counts first-sightings per ledger (player 1 was
-    // new to both), which is why the counter is compared against the
-    // per-ledger sum, not the merged ledger's distinct-player count.
-    assert_eq!(trace.metrics.counter("metrics.players"), 3);
-    assert_eq!(merged.player_count(), 2);
-    assert_eq!(standalone.player_count(), 2);
-}
-
-#[test]
 fn no_counters_without_a_recording_scope() {
     // Emitting outside a scope is a no-op; a later scope must start empty.
     let mut outside = ContributionLedger::new();

@@ -1,14 +1,16 @@
-//! Generic event-driven campaigns — any game, full deployment dynamics.
+//! Event-driven campaigns — any game, full deployment dynamics.
 //!
-//! [`EspCampaign`](crate::esp::EspCampaign) hard-wires the flagship game;
-//! this module generalizes the same machinery (Poisson sittings, random
-//! matching, engagement-driven returns) over a [`SessionDriver`] trait so
-//! TagATune, Verbosity, Peekaboom, Squigl and Matchin can run the same
-//! deployment analyses (e.g. the F5 concurrency story) without
-//! duplicating the event loop. Games without a replay-bot story simply
-//! drop timed-out players back into the queue at their next sitting.
+//! [`Campaign`] is the one serial campaign loop — Poisson sittings,
+//! random matching, engagement-driven returns — over a [`SessionDriver`],
+//! so every game runs the same deployment analyses (e.g. the F5
+//! concurrency story). A driver with a solo session (the ESP Game's
+//! replay bot, see [`EspCampaign`](crate::esp::EspCampaign)) gets a
+//! periodic sweep in which each timed-out waiter plays solo; without one
+//! an unpaired waiter gives up after a patience window and returns at a
+//! later sitting. [`crate::shard`] runs the same dynamics across cores.
 
 use crate::params::SessionParams;
+use crate::tagatune::play_tagatune_session;
 use crate::world::WorldConfig;
 use hc_collect::DetMap;
 use hc_core::prelude::*;
@@ -16,10 +18,11 @@ use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
 use hc_sim::dist::Exponential;
 use hc_sim::{RngFactory, SimRng, WheelQueue};
 
-/// Drives one session of a concrete game between two live players.
+/// Drives the sessions of a concrete game.
 pub trait SessionDriver {
-    /// Plays one session, returning the transcript (already recorded into
-    /// the platform by the game's session function).
+    /// Plays one session between two live players, returning the
+    /// transcript (already recorded into the platform by the game's
+    /// session function).
     fn play(
         &mut self,
         platform: &mut Platform,
@@ -27,6 +30,26 @@ pub trait SessionDriver {
         params: SessionParams,
         rng: &mut SimRng,
     ) -> SessionTranscript;
+
+    /// How often to sweep the wait pool for waiters past the
+    /// bot-fallback deadline, who then play solo; `None` (the default)
+    /// for games without a solo mode, whose unpaired waiters give up.
+    fn solo_sweep(&self) -> Option<SimDuration> {
+        None
+    }
+
+    /// Plays one solo session of `params.left()` (against replay bots,
+    /// say), or returns `None` (the default) for no solo mode: the
+    /// player gives up. The campaign ledgers solo play time itself.
+    fn play_solo(
+        &mut self,
+        _platform: &mut Platform,
+        _population: &mut Population,
+        _params: SessionParams,
+        _rng: &mut SimRng,
+    ) -> Option<SessionTranscript> {
+        None
+    }
 
     /// Registers the game's tasks on a fresh platform.
     fn register(&mut self, platform: &mut Platform);
@@ -73,18 +96,20 @@ impl CampaignConfig {
     }
 }
 
-/// Report of a generic campaign run.
+/// Report of a campaign run.
 #[derive(Debug, Clone)]
 pub struct CampaignReport {
     /// Which game ran.
     pub game: &'static str,
-    /// GWAP metrics from the platform ledger.
+    /// GWAP metrics: the platform ledger plus solo play time.
     pub metrics: GwapMetrics,
-    /// Sessions completed.
+    /// Live sessions completed.
     pub sessions: u64,
+    /// Solo sessions completed (0 for games without a solo mode).
+    pub solo_sessions: u64,
     /// Verified outputs.
     pub verified: usize,
-    /// Live-pairing statistics.
+    /// Pairing statistics (live and replay pairs).
     pub matchmaker: hc_core::matchmaker::MatchmakerStats,
     /// Mean pairing wait in seconds.
     pub mean_wait_secs: f64,
@@ -94,9 +119,10 @@ pub struct CampaignReport {
 enum Ev {
     Arrival(PlayerId),
     /// Check whether a queued player is still waiting; if so they give up
-    /// and come back at a later sitting (no replay bots in the generic
-    /// runner).
+    /// and come back at a later sitting (no solo mode).
     GiveUp(PlayerId),
+    /// Every timed-out waiter plays solo (solo mode).
+    Sweep,
 }
 
 #[derive(Debug)]
@@ -106,11 +132,12 @@ struct Plan {
     remaining: SimDuration,
 }
 
-/// The generic campaign runner.
+/// The campaign runner.
 #[derive(Debug)]
 pub struct Campaign<D: SessionDriver> {
     driver: D,
     config: CampaignConfig,
+    solo_sweep: Option<SimDuration>,
     platform: Platform,
     population: Population,
     // Per-player session plans: keyed lookups only (never iterated).
@@ -118,6 +145,9 @@ pub struct Campaign<D: SessionDriver> {
     session_ids: hc_core::id::IdAllocator<SessionId>,
     rng: SimRng,
     sessions: u64,
+    solo_sessions: u64,
+    /// Solo play time, which the platform ledger never sees.
+    solo_play: ContributionLedger,
 }
 
 impl<D: SessionDriver> Campaign<D> {
@@ -128,15 +158,13 @@ impl<D: SessionDriver> Campaign<D> {
     /// Panics when the platform config is invalid.
     pub fn new(mut driver: D, config: CampaignConfig, seed: u64) -> Self {
         let factory = RngFactory::new(seed);
-        let mut platform = Platform::new(config.platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
-        driver.register(&mut platform);
-        let mut pop_rng = factory.stream("population");
-        let population = PopulationBuilder::new(config.players)
-            .mix(config.mix.clone())
-            .build(&mut pop_rng);
-        for _ in 0..config.players {
-            platform.register_player();
-        }
+        let (platform, population) = deploy(
+            config.platform,
+            config.players,
+            &config.mix,
+            &factory,
+            |platform| driver.register(platform),
+        );
         let mut plan_rng = factory.stream("plans");
         let plans = population
             .players()
@@ -154,6 +182,7 @@ impl<D: SessionDriver> Campaign<D> {
             })
             .collect();
         Campaign {
+            solo_sweep: driver.solo_sweep(),
             driver,
             config,
             platform,
@@ -162,14 +191,20 @@ impl<D: SessionDriver> Campaign<D> {
             session_ids: hc_core::id::IdAllocator::new(),
             rng: factory.stream("campaign"),
             sessions: 0,
+            solo_sessions: 0,
+            solo_play: ContributionLedger::new(),
         }
     }
 
     /// Runs to the horizon and reports.
     pub fn run(&mut self) -> CampaignReport {
-        // Every player gets an opening arrival, so the queue's working
-        // set is at least the population; size it up front.
-        let mut queue: WheelQueue<Ev> = WheelQueue::with_capacity(self.config.players.max(16));
+        // Every player gets an opening arrival (plus the sweep tick), so
+        // the queue's working set is at least the population; size it up
+        // front instead of regrowing through the arrival storm.
+        let mut queue: WheelQueue<Ev> = WheelQueue::with_capacity(
+            self.config.players.max(16) + usize::from(self.solo_sweep.is_some()),
+        );
+        // First arrivals: exponential spread across the opening window.
         let spread = Exponential::new(1.0 / self.config.arrival_spread.as_secs_f64().max(1e-6))
             .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
         let ids: Vec<PlayerId> = self.population.players().iter().map(|p| p.id).collect();
@@ -179,30 +214,71 @@ impl<D: SessionDriver> Campaign<D> {
                 Ev::Arrival(*p),
             );
         }
+        if let Some(every) = self.solo_sweep {
+            queue.push(SimTime::ZERO + every, Ev::Sweep);
+        }
+
+        // Captured once: the campaign loop must not change shape when a
+        // recording subscriber appears mid-run on another layer.
+        let tracing = hc_obs::active();
+        let mut arrivals = 0u64;
+        let mut sweeps = 0u64;
+        let mut queue_high_water = 0usize;
+        let mut last_now = SimTime::ZERO;
+
         while let Some((now, ev)) = queue.pop() {
             if now > self.config.horizon {
                 break;
             }
             self.platform.set_time(now);
             match ev {
-                Ev::Arrival(p) => self.handle_arrival(&mut queue, now, p),
+                Ev::Arrival(p) => {
+                    self.handle_arrival(&mut queue, now, p);
+                    arrivals += 1;
+                }
                 Ev::GiveUp(p) => {
                     if self.platform.matchmaker_mut().abandon(p) {
                         // Still waiting: give up and return next sitting.
-                        let gap = Exponential::new(
-                            1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6),
-                        )
-                        .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-                        .sample(&mut self.rng);
-                        queue.push(now + SimDuration::from_secs_f64(gap), Ev::Arrival(p));
+                        self.give_up(&mut queue, now, p);
                     }
                 }
+                Ev::Sweep => {
+                    self.handle_sweep(&mut queue, now);
+                    if let Some(every) = self.solo_sweep {
+                        queue.push(now + every, Ev::Sweep);
+                    }
+                    sweeps += 1;
+                }
             }
+            if tracing {
+                queue_high_water = queue_high_water.max(queue.len());
+                last_now = now;
+            }
+        }
+        if tracing {
+            hc_obs::counter("games.arrivals", last_now.ticks(), arrivals);
+            hc_obs::counter("games.sweeps", last_now.ticks(), sweeps);
+            hc_obs::gauge(
+                "games.queue_high_water",
+                last_now.ticks(),
+                queue_high_water as f64,
+            );
+            hc_obs::span(
+                "games",
+                &format!("{}.campaign", self.driver.name()),
+                0,
+                last_now.ticks(),
+                &[
+                    ("live_sessions", self.sessions.into()),
+                    ("replay_sessions", self.solo_sessions.into()),
+                ],
+            );
         }
         CampaignReport {
             game: self.driver.name(),
-            metrics: self.platform.metrics(),
+            metrics: self.platform.metrics_with(&self.solo_play),
             sessions: self.sessions,
+            solo_sessions: self.solo_sessions,
             verified: self.platform.verified_labels().len(),
             matchmaker: self.platform.matchmaker().pool().stats(),
             mean_wait_secs: self.platform.matchmaker().pool().wait_stats().mean(),
@@ -241,12 +317,40 @@ impl<D: SessionDriver> Campaign<D> {
                 }
             }
             MatchDecision::Queued => {
-                // The player waits; if nobody pairs with them within a
-                // patience window they give up (handled by GiveUp).
-                let patience = self.config.platform.matchmaker.bot_fallback_wait * 6;
-                queue.push(now + patience, Ev::GiveUp(player));
+                // Without a solo sweep the player waits a patience window;
+                // if nobody pairs with them by then they give up.
+                if self.solo_sweep.is_none() {
+                    let patience = self.config.platform.matchmaker.bot_fallback_wait * 6;
+                    queue.push(now + patience, Ev::GiveUp(player));
+                }
             }
         }
+    }
+
+    /// Every waiter past the bot-fallback deadline plays a solo session.
+    fn handle_sweep(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime) {
+        for player in self.platform.matchmaker_mut().take_timed_out(now) {
+            let sid = self.session_ids.next();
+            let solo = self.driver.play_solo(
+                &mut self.platform,
+                &mut self.population,
+                SessionParams::solo(player, sid, now),
+                &mut self.rng,
+            );
+            match solo {
+                Some(t) => {
+                    self.solo_sessions += 1;
+                    self.solo_play.record_play(player, t.duration());
+                    self.schedule_next(queue, t.ended, player, t.duration());
+                }
+                None => self.give_up(queue, now, player),
+            }
+        }
+    }
+
+    /// A waiter nobody paired with returns after a fresh return gap.
+    fn give_up(&mut self, queue: &mut WheelQueue<Ev>, now: SimTime, player: PlayerId) {
+        queue.push(now + self.return_gap(), Ev::Arrival(player));
     }
 
     fn schedule_next(
@@ -263,11 +367,16 @@ impl<D: SessionDriver> Campaign<D> {
         if !plan.remaining.is_zero() {
             queue.push(end, Ev::Arrival(player));
         } else if plan.next < plan.sittings.len() {
-            let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
-                .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-                .sample(&mut self.rng);
-            queue.push(end + SimDuration::from_secs_f64(gap), Ev::Arrival(player));
+            queue.push(end + self.return_gap(), Ev::Arrival(player));
         }
+    }
+
+    /// Draws the gap before a player's next sitting.
+    fn return_gap(&mut self) -> SimDuration {
+        let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
+            .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
+            .sample(&mut self.rng);
+        SimDuration::from_secs_f64(gap)
     }
 
     /// Post-run access to the platform.
@@ -275,6 +384,38 @@ impl<D: SessionDriver> Campaign<D> {
     pub fn platform(&self) -> &Platform {
         &self.platform
     }
+
+    /// Post-run access to the driver (and the world it plays over).
+    #[must_use]
+    pub(crate) fn driver(&self) -> &D {
+        &self.driver
+    }
+}
+
+/// A fresh platform with the game's tasks (`register`) and `players`
+/// players registered, plus the matching population drawn from the
+/// seed's `"population"` stream — the opening of every campaign.
+///
+/// # Panics
+///
+/// Panics when the platform config is invalid.
+pub(crate) fn deploy(
+    config: PlatformConfig,
+    players: usize,
+    mix: &ArchetypeMix,
+    factory: &RngFactory,
+    register: impl FnOnce(&mut Platform),
+) -> (Platform, Population) {
+    let mut platform = Platform::new(config).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
+    register(&mut platform);
+    let population = PopulationBuilder::new(players)
+        .mix(mix.clone())
+        .build(&mut factory.stream("population"));
+    // Give the platform's player-id allocator the same ids.
+    for _ in 0..players {
+        platform.register_player();
+    }
+    (platform, population)
 }
 
 /// A ready-made driver for TagATune.
@@ -304,17 +445,8 @@ impl SessionDriver for TagATuneDriver {
         params: SessionParams,
         rng: &mut SimRng,
     ) -> SessionTranscript {
-        crate::tagatune::play_tagatune_session(
-            platform,
-            &self.world,
-            population,
-            params.left(),
-            params.right(),
-            params.session_id,
-            params.start,
-            self.p_same,
-            rng,
-        )
+        let world = &self.world;
+        play_tagatune_session(platform, world, population, params, self.p_same, rng)
     }
 
     fn register(&mut self, platform: &mut Platform) {
@@ -349,25 +481,14 @@ impl SessionDriver for VerbosityDriver {
         &mut self,
         platform: &mut Platform,
         population: &mut Population,
-        params: SessionParams,
+        mut params: SessionParams,
         rng: &mut SimRng,
     ) -> SessionTranscript {
         self.flip = !self.flip;
-        let (narrator, guesser) = if self.flip {
-            (params.left(), params.right())
-        } else {
-            (params.right(), params.left())
-        };
-        crate::verbosity::play_verbosity_session(
-            platform,
-            &self.world,
-            population,
-            narrator,
-            guesser,
-            params.session_id,
-            params.start,
-            rng,
-        )
+        if !self.flip {
+            params.seats.reverse();
+        }
+        crate::verbosity::play_verbosity_session(platform, &self.world, population, params, rng)
     }
 
     fn register(&mut self, platform: &mut Platform) {

@@ -8,27 +8,29 @@
 //! 2. [`play_esp_session`] / [`play_esp_replay_session`] — drive one
 //!    session between two live players (or one player and a recorded
 //!    partner), answer by answer, through the `hc-core` round state
-//!    machine and verification pipeline.
-//! 3. [`EspCampaign`] — the full event-driven deployment: Poisson player
+//!    machine and verification pipeline. Their round functions are the
+//!    ESP round engine, shared with the sharded
+//!    [`EspShardGame`](crate::shard::EspShardGame) (`round.rs`).
+//! 3. [`EspCampaign`] — the full event-driven deployment (Poisson
 //!    sittings, random matching, replay-bot fallback, engagement-driven
-//!    return visits — the machinery behind experiments T1 and F3–F6.
+//!    returns) behind experiments T1 and F3–F6: the generic [`Campaign`]
+//!    loop over an `EspDriver`.
 
+use crate::campaign::{Campaign, CampaignConfig, SessionDriver};
 use crate::params::SessionParams;
+use crate::round::{
+    play_session, session_span, PlannedRound, PlayedRound, Round, RoundSource, Table,
+};
 use crate::world::{BaseWorld, WorldConfig};
-use hc_collect::DetMap;
 use hc_core::prelude::*;
-use hc_crowd::{ArchetypeMix, EngagementModel, Population, PopulationBuilder};
-use hc_sim::dist::Exponential;
-use hc_sim::{RngFactory, SimRng, WheelQueue};
+use hc_crowd::{ArchetypeMix, EngagementModel, LabelDistribution, PlayerProfile, Population};
+use hc_sim::{RngFactory, SimRng};
 use rand::Rng;
 
 /// Maximum answers one seat may produce in one round — the published ESP
 /// interface shows players typing on the order of a dozen guesses per
 /// image before passing or timing out.
 const MAX_GUESSES_PER_SEAT: usize = 15;
-
-/// Pause between rounds within a session (next image loads).
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// The ESP image world.
 #[derive(Debug, Clone)]
@@ -108,14 +110,12 @@ impl EspWorld {
     /// Returns `(correct, total)`.
     #[must_use]
     pub fn verified_precision(&self, platform: &Platform) -> (usize, usize) {
-        let mut correct = 0;
-        let total = platform.verified_labels().len();
-        for v in platform.verified_labels() {
-            if self.is_correct(v.task, &v.label) {
-                correct += 1;
-            }
-        }
-        (correct, total)
+        let verified = platform.verified_labels();
+        let correct = verified
+            .iter()
+            .filter(|v| self.is_correct(v.task, &v.label))
+            .count();
+        (correct, verified.len())
     }
 }
 
@@ -128,140 +128,21 @@ pub fn play_esp_session<R: Rng + ?Sized>(
     params: SessionParams,
     rng: &mut R,
 ) -> SessionTranscript {
-    let SessionParams {
-        seats: [left, right],
-        session_id,
-        start,
-    } = params;
-    let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[left, right], rng) else {
-            break;
-        };
-        platform.record_served(task, &[left, right]);
-        let taboo = platform.taboo_for(task);
-        let Some(truth) = world.truth_for_task(task) else {
-            break;
-        };
-        let mut round = OutputAgreementRound::new(task, taboo.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-
-        let (pa, pb) = population
-            .get_pair_mut(left, right)
-            .expect("both players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let mut profiles = [pa, pb];
-        let mut cursors = [now, now];
-        let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
-        let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            // The seat whose next action is earliest moves.
-            let seat_idx = if cursors[0] <= cursors[1] { 0 } else { 1 };
-            // hc-analyze: allow(P1): seat_idx is 0 or 1 by construction
-            if guesses_left[seat_idx] == 0 && guesses_left[1 - seat_idx] == 0 {
-                break;
-            }
-            if guesses_left[seat_idx] == 0 {
-                cursors[seat_idx] = SimTime::MAX; // seat exhausted; let other play
-                continue;
-            }
-            let profile = &mut profiles[seat_idx];
-            let answer = profile
-                .behavior
-                .next_answer(truth, &world.base.vocabulary, &taboo, rng);
-            let latency = profile.response.sample(
-                match &answer {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursors[seat_idx] += latency;
-            guesses_left[seat_idx] -= 1;
-            let at = cursors[seat_idx];
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    left_trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        if let Some(label) = matched_label.or(result.agreed_label.clone()) {
-            let _ = platform.ingest_agreement(task, label, left, right);
-        }
-        // Record the left seat's trace for future replay-bot sessions.
-        if !left_trace.is_empty() {
-            platform
-                .replay_mut()
-                .record(RecordedRound::new(task, left, left_trace));
-        }
-        let duration = end.saturating_since(now);
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    let transcript = session.finish(now);
+    let session = params.open(platform.config().session);
+    let (pa, pb) = population
+        .get_pair_mut(params.left(), params.right())
+        .expect("both players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
+    let table = Table::new(world, session, [pa, pb], platform.score_rule());
+    let mut source = RoundSource::platform(platform, &params.seats, false);
+    let transcript = play_session(
+        table,
+        &mut source,
+        rng,
+        EspWorld::truth_for_task,
+        live_round,
+    );
     platform.record_session(&transcript);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "esp.session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
-    }
+    session_span("esp.session", &transcript);
     transcript
 }
 
@@ -275,146 +156,202 @@ pub fn play_esp_replay_session<R: Rng + ?Sized>(
     params: SessionParams,
     rng: &mut R,
 ) -> SessionTranscript {
-    let player = params.left();
-    let (session_id, start) = (params.session_id, params.start);
-    let cfg = platform.config().session;
     // The replay partner keeps its recorded identity for pair accounting;
-    // sessions are created against a synthetic "bot seat" of the recorded
-    // player when available.
-    let mut session = Session::new(session_id, [player, player], start, cfg);
-    let mut now = start;
-    let mut streak = 0u32;
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[player], rng) else {
-            break;
-        };
-        platform.record_served(task, &[player]);
-        let taboo = platform.taboo_for(task);
-        let Some(truth) = world.truth_for_task(task) else {
-            break;
-        };
-        let recording = platform.replay().sample(task, rng).cloned();
-        let mut round = OutputAgreementRound::new(task, taboo.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-
-        // Feed the recorded partner's events up-front into a schedule.
-        let mut bot_events: Vec<(SimTime, Label)> = recording
-            .as_ref()
-            .map(|r| {
-                r.events
-                    .iter()
-                    .map(|(d, l)| (now + *d, l.clone()))
-                    .collect()
-            })
-            .unwrap_or_default();
-        bot_events.reverse(); // pop() from the back = chronological order
-
-        let profile = population.get_mut(player).expect("player exists"); // hc-analyze: allow(P1): callers pass a registered id
-        let mut cursor = now;
-        let mut guesses_left = MAX_GUESSES_PER_SEAT;
-        let mut trace: Vec<(SimDuration, Label)> = Vec::new();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            let next_bot = bot_events.last().map(|(t, _)| *t).unwrap_or(SimTime::MAX);
-            let human_turn = cursor <= next_bot && guesses_left > 0;
-            if !human_turn && next_bot == SimTime::MAX {
-                break; // both sides exhausted
-            }
-            let (seat, at, answer) = if human_turn {
-                let answer =
-                    profile
-                        .behavior
-                        .next_answer(truth, &world.base.vocabulary, &taboo, rng);
-                let latency = profile.response.sample(
-                    match &answer {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                guesses_left -= 1;
-                (Seat::Left, cursor, answer)
-            } else {
-                let (t, l) = bot_events.pop().expect("checked non-empty"); // hc-analyze: allow(P1): branch taken only when bot_events is non-empty
-                (Seat::Right, t, Answer::Text(l))
-            };
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        if let (Some(label), Some(rec)) = (
-            matched_label.or(result.agreed_label.clone()),
-            recording.as_ref(),
-        ) {
-            let _ = platform.ingest_agreement(task, label, player, rec.recorded_player);
-        }
-        if !trace.is_empty() {
-            platform
-                .replay_mut()
-                .record(RecordedRound::new(task, player, trace));
-        }
-        let duration = end.saturating_since(now);
-        let rule = platform.score_rule();
-        let points = rule.round_score(matched, duration.as_secs_f64(), streak);
-        streak = if matched { streak + 1 } else { 0 };
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points: [points, 0],
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
+    // the transcript seats the lone human twice.
+    let player = params.left();
+    let session = SessionParams::solo(player, params.session_id, params.start)
+        .open(platform.config().session);
+    let profile = population.get_mut(player).expect("player exists"); // hc-analyze: allow(P1): callers pass a registered id
+    let table = Table::new(world, session, profile, platform.score_rule());
+    let mut source = RoundSource::platform(platform, std::slice::from_ref(&player), true);
+    let transcript = play_session(
+        table,
+        &mut source,
+        rng,
+        EspWorld::truth_for_task,
+        solo_round,
+    );
     // Replay sessions deliberately bypass `record_session` (which assumes
     // two live players): the campaign credits the lone human's play time
     // to its own ledger, and the seen-task set clears here.
-    let transcript = session.finish(now);
     platform.tasks_clear_seen(player);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "esp.replay_session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
-    }
+    session_span("esp.replay_session", &transcript);
     transcript
+}
+
+/// One output-agreement round between two live seats: the live round
+/// engine of serial and sharded sessions. The seat whose next answer
+/// comes first moves; each seat has a guess budget.
+pub(crate) fn live_round<R: Rng + ?Sized>(
+    table: &mut Table<'_, EspWorld, [&mut PlayerProfile; 2]>,
+    planned: PlannedRound,
+    truth: &LabelDistribution,
+    now: SimTime,
+    rng: &mut R,
+) -> Round {
+    // The taboo list moves into the round: no per-round clone.
+    let PlannedRound { task, taboo, .. } = planned;
+    let limit = table.time_limit();
+    let mut round =
+        OutputAgreementRound::with_guess_capacity(task, taboo, limit, MAX_GUESSES_PER_SEAT);
+    let mut cursors = [now, now];
+    let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
+    let (world, profiles) = (table.world, &mut table.profiles);
+    let (matched, agreed, end) = agree(&mut round, now, limit, &mut table.trace, |taboo| loop {
+        let seat = usize::from(cursors[0] > cursors[1]);
+        // hc-analyze: allow(P1): seat is 0 or 1 by construction
+        if guesses_left[seat] == 0 && guesses_left[1 - seat] == 0 {
+            return None;
+        }
+        if guesses_left[seat] == 0 {
+            cursors[seat] = SimTime::MAX; // seat exhausted; let the other play
+            continue;
+        }
+        let profile = &mut profiles[seat];
+        let answer = profile
+            .behavior
+            .next_answer(truth, world.vocabulary(), taboo, rng);
+        cursors[seat] += profile.response.sample(answer.as_text(), rng);
+        guesses_left[seat] -= 1;
+        return Some((Seat::both()[seat], cursors[seat], answer));
+    });
+    let [left, right] = table.seats();
+    let agreements = agreed.map(|label| (label, left, right));
+    let points = table.score(matched, end.saturating_since(now));
+    finish_round(table, task, matched, agreements, points, now, end)
+}
+
+/// One output-agreement round of a solo player against a recorded
+/// partner whose answers replay at their recorded offsets: the solo
+/// round engine of serial replay sessions and sharded solo rescues.
+/// Without a recording the round is "seeding": the player's trace is
+/// kept, but nothing can agree.
+pub(crate) fn solo_round<R: Rng + ?Sized>(
+    table: &mut Table<'_, EspWorld, &mut PlayerProfile>,
+    planned: PlannedRound,
+    truth: &LabelDistribution,
+    now: SimTime,
+    rng: &mut R,
+) -> Round {
+    // Consumed by value: the taboo list moves into the round and the
+    // recording's labels move into the bot's answer feed.
+    let PlannedRound {
+        task,
+        taboo,
+        recording: seeded,
+    } = planned;
+    let partner = seeded.as_ref().map(|r| r.recorded_player);
+    let limit = table.time_limit();
+    let mut round =
+        OutputAgreementRound::with_guess_capacity(task, taboo, limit, MAX_GUESSES_PER_SEAT);
+    let mut bot_events: Vec<(SimTime, Label)> = seeded
+        .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
+        .unwrap_or_default();
+    bot_events.reverse(); // pop() from the back = chronological order
+    let mut cursor = now;
+    let mut guesses_left = MAX_GUESSES_PER_SEAT;
+    let (world, profile) = (table.world, &mut *table.profiles);
+    let (matched, agreed, end) = agree(&mut round, now, limit, &mut table.trace, |taboo| {
+        let next_bot = bot_events.last().map_or(SimTime::MAX, |(t, _)| *t);
+        if cursor <= next_bot && guesses_left > 0 {
+            let answer = profile
+                .behavior
+                .next_answer(truth, world.vocabulary(), taboo, rng);
+            cursor += profile.response.sample(answer.as_text(), rng);
+            guesses_left -= 1;
+            Some((Seat::Left, cursor, answer))
+        } else {
+            // Both sides are exhausted once the bot's feed is empty too.
+            let (t, l) = bot_events.pop()?;
+            Some((Seat::Right, t, Answer::Text(l)))
+        }
+    });
+    let player = table.seats()[0];
+    let agreements = agreed
+        .zip(partner)
+        .map(|(label, partner)| (label, player, partner));
+    // The recorded partner scores nothing.
+    let [points, _] = table.score(matched, end.saturating_since(now));
+    finish_round(table, task, matched, agreements, [points, 0], now, end)
+}
+
+/// Feeds `next_move`'s submissions `(seat, at, answer)` into `round` in
+/// order until the round resolves, its `limit` passes, or both sides
+/// run out. The left seat's text answers are traced into `trace` as
+/// offsets from `now`. Returns whether the round matched, the label to
+/// ingest, and when the round ended.
+fn agree(
+    round: &mut OutputAgreementRound,
+    now: SimTime,
+    limit: SimDuration,
+    trace: &mut Vec<(SimDuration, Label)>,
+    mut next_move: impl FnMut(&TabooList) -> Option<(Seat, SimTime, Answer)>,
+) -> (bool, Option<Label>, SimTime) {
+    let deadline = now + limit;
+    trace.clear();
+    let mut matched_label: Option<Label> = None;
+    let mut end = deadline;
+    while let Some((seat, at, answer)) = next_move(round.taboo()) {
+        if at > deadline {
+            break;
+        }
+        if seat == Seat::Left {
+            if let Answer::Text(l) = &answer {
+                trace.push((at.saturating_since(now), l.clone()));
+            }
+        }
+        match round.submit(seat, answer, at) {
+            SubmitOutcome::Matched(label) => {
+                matched_label = label;
+                end = at;
+                break;
+            }
+            SubmitOutcome::BothPassed => {
+                end = at;
+                break;
+            }
+            SubmitOutcome::RoundOver => break,
+            _ => {}
+        }
+    }
+    let result = round.finish(end);
+    (
+        result.is_match(),
+        matched_label.or(result.agreed_label),
+        end,
+    )
+}
+
+/// Packs a finished output-agreement round: its record, and its effects
+/// — the agreement, if any, plus the left seat's trace as a replay
+/// recording.
+fn finish_round<P>(
+    table: &mut Table<'_, EspWorld, P>,
+    task: TaskId,
+    matched: bool,
+    agreement: Option<(Label, PlayerId, PlayerId)>,
+    points: [u32; 2],
+    now: SimTime,
+    end: SimTime,
+) -> Round {
+    // The replay store keeps recordings for the rest of the run: move the
+    // trace out at its exact length and keep the buffer's capacity here.
+    let recording = (!table.trace.is_empty())
+        .then(|| RecordedRound::new(task, table.seats()[0], table.trace.drain(..).collect()));
+    let record = RoundRecord {
+        template: TemplateKind::OutputAgreement,
+        task,
+        matched,
+        candidate_outputs: u32::from(matched),
+        duration: end.saturating_since(now),
+        points,
+    };
+    let effects = PlayedRound {
+        task,
+        agreements: agreement.into_iter().collect(),
+        recording,
+    };
+    (record, effects, end)
 }
 
 /// Campaign configuration.
@@ -479,309 +416,121 @@ impl EspCampaignReport {
     /// Precision as a fraction (1.0 when nothing verified).
     #[must_use]
     pub fn precision_rate(&self) -> f64 {
-        if self.precision.1 == 0 {
-            1.0
-        } else {
-            self.precision.0 as f64 / self.precision.1 as f64
-        }
+        crate::world::precision_rate(self.precision)
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-enum CampaignEvent {
-    Arrival(PlayerId),
-    Sweep,
-}
-
+/// The ESP Game as a [`SessionDriver`]: live sessions plus the solo
+/// replay-bot session, swept for every `sweep_interval`.
 #[derive(Debug)]
-struct PlanState {
-    sittings: Vec<SimDuration>,
-    next: usize,
-    remaining: SimDuration,
+pub(crate) struct EspDriver {
+    world: EspWorld,
+    /// How often the campaign sweeps the wait pool for timed-out waiters.
+    sweep_interval: SimDuration,
 }
 
-/// The full event-driven ESP deployment.
+impl SessionDriver for EspDriver {
+    fn play(
+        &mut self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> SessionTranscript {
+        play_esp_session(platform, &self.world, population, params, rng)
+    }
+
+    fn solo_sweep(&self) -> Option<SimDuration> {
+        Some(self.sweep_interval)
+    }
+
+    fn play_solo(
+        &mut self,
+        platform: &mut Platform,
+        population: &mut Population,
+        params: SessionParams,
+        rng: &mut SimRng,
+    ) -> Option<SessionTranscript> {
+        let world = &self.world;
+        Some(play_esp_replay_session(
+            platform, world, population, params, rng,
+        ))
+    }
+
+    fn register(&mut self, platform: &mut Platform) {
+        self.world.register_tasks(platform);
+    }
+
+    fn name(&self) -> &'static str {
+        "esp"
+    }
+}
+
+/// The full event-driven ESP deployment: the generic [`Campaign`] loop
+/// over an `EspDriver`.
 #[derive(Debug)]
 pub struct EspCampaign {
-    config: EspCampaignConfig,
-    platform: Platform,
-    world: EspWorld,
-    population: Population,
-    // Per-player session plans: keyed lookups only (never iterated).
-    plans: DetMap<PlayerId, PlanState>,
-    session_ids: hc_core::id::IdAllocator<SessionId>,
-    rng: SimRng,
-    live_sessions: u64,
-    replay_sessions: u64,
-    replay_play: ContributionLedger,
+    campaign: Campaign<EspDriver>,
 }
 
 impl EspCampaign {
-    /// Builds a campaign from a config and master seed.
+    /// Builds a campaign from a config and master seed: the world comes
+    /// from the seed's `"world"` stream.
     ///
     /// # Panics
     ///
     /// Panics when the platform config is invalid.
     #[must_use]
     pub fn new(config: EspCampaignConfig, seed: u64) -> Self {
-        let factory = RngFactory::new(seed);
-        let mut world_rng = factory.stream("world");
-        let world = EspWorld::generate(&config.world, &mut world_rng);
-        let mut platform = Platform::new(config.platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
-        world.register_tasks(&mut platform);
-        let mut pop_rng = factory.stream("population");
-        let population = PopulationBuilder::new(config.players)
-            .mix(config.mix.clone())
-            .build(&mut pop_rng);
-        // Give the platform's player-id allocator the same ids.
-        for _ in 0..config.players {
-            platform.register_player();
-        }
-        let mut plan_rng = factory.stream("plans");
-        let plans = population
-            .players()
-            .iter()
-            .map(|p| {
-                let lifetime = config.engagement.sample_lifetime(&mut plan_rng);
-                (
-                    p.id,
-                    PlanState {
-                        sittings: lifetime.session_lengths,
-                        next: 0,
-                        remaining: SimDuration::ZERO,
-                    },
-                )
-            })
-            .collect();
-        EspCampaign {
-            config,
-            platform,
+        let world = EspWorld::generate(&config.world, &mut RngFactory::new(seed).stream("world"));
+        let driver = EspDriver {
             world,
-            population,
-            plans,
-            session_ids: hc_core::id::IdAllocator::new(),
-            rng: factory.stream("campaign"),
-            live_sessions: 0,
-            replay_sessions: 0,
-            replay_play: ContributionLedger::new(),
+            sweep_interval: config.sweep_interval,
+        };
+        let config = CampaignConfig {
+            platform: config.platform,
+            players: config.players,
+            mix: config.mix,
+            engagement: config.engagement,
+            mean_return_gap: config.mean_return_gap,
+            horizon: config.horizon,
+            arrival_spread: config.arrival_spread,
+        };
+        EspCampaign {
+            campaign: Campaign::new(driver, config, seed),
         }
     }
 
     /// Runs the campaign to its horizon and reports.
     pub fn run(&mut self) -> EspCampaignReport {
-        // Every player gets an opening arrival (plus the sweep tick), so
-        // the queue's working set is at least the population; size it up
-        // front instead of regrowing through the arrival storm.
-        let mut queue: WheelQueue<CampaignEvent> =
-            WheelQueue::with_capacity(self.config.players.max(16) + 1);
-        // First arrivals: exponential spread across the opening window.
-        let spread = Exponential::new(1.0 / self.config.arrival_spread.as_secs_f64().max(1e-6))
-            .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-        let ids: Vec<PlayerId> = self.population.players().iter().map(|p| p.id).collect();
-        for p in &ids {
-            let at = SimTime::from_secs_f64(spread.sample(&mut self.rng));
-            queue.push(at, CampaignEvent::Arrival(*p));
-        }
-        queue.push(
-            SimTime::ZERO + self.config.sweep_interval,
-            CampaignEvent::Sweep,
-        );
-
-        // Captured once: the campaign loop must not change shape when a
-        // recording subscriber appears mid-run on another layer.
-        let tracing = hc_obs::active();
-        let mut arrivals = 0u64;
-        let mut sweeps = 0u64;
-        let mut queue_high_water = 0usize;
-        let mut last_now = SimTime::ZERO;
-
-        while let Some((now, ev)) = queue.pop() {
-            if now > self.config.horizon {
-                break;
-            }
-            match ev {
-                CampaignEvent::Arrival(p) => {
-                    self.handle_arrival(&mut queue, now, p);
-                    arrivals += 1;
-                }
-                CampaignEvent::Sweep => {
-                    self.handle_sweep(&mut queue, now);
-                    queue.push(now + self.config.sweep_interval, CampaignEvent::Sweep);
-                    sweeps += 1;
-                }
-            }
-            if tracing {
-                queue_high_water = queue_high_water.max(queue.len());
-                last_now = now;
-            }
-        }
-        if tracing {
-            hc_obs::counter("games.arrivals", last_now.ticks(), arrivals);
-            hc_obs::counter("games.sweeps", last_now.ticks(), sweeps);
-            hc_obs::gauge(
-                "games.queue_high_water",
-                last_now.ticks(),
-                queue_high_water as f64,
-            );
-            hc_obs::span(
-                "games",
-                "esp.campaign",
-                0,
-                last_now.ticks(),
-                &[
-                    ("live_sessions", self.live_sessions.into()),
-                    ("replay_sessions", self.replay_sessions.into()),
-                ],
-            );
-        }
-        self.report()
-    }
-
-    fn handle_arrival(
-        &mut self,
-        queue: &mut WheelQueue<CampaignEvent>,
-        now: SimTime,
-        player: PlayerId,
-    ) {
-        self.platform.set_time(now);
-        // Starting a fresh sitting?
-        {
-            let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
-            if plan.remaining.is_zero() {
-                let Some(len) = plan.sittings.get(plan.next).copied() else {
-                    return; // churned
-                };
-                plan.next += 1;
-                plan.remaining = len;
-            }
-        }
-        match self
-            .platform
-            .matchmaker_mut()
-            .on_arrival(now, player, &mut self.rng)
-        {
-            MatchDecision::Paired { partner, .. } => {
-                let sid = self.session_ids.next();
-                let transcript = play_esp_session(
-                    &mut self.platform,
-                    &self.world,
-                    &mut self.population,
-                    SessionParams::pair(partner, player, sid, now),
-                    &mut self.rng,
-                );
-                self.live_sessions += 1;
-                let end = transcript.ended;
-                let dur = transcript.duration();
-                for p in [partner, player] {
-                    self.after_session(queue, end, p, dur);
-                }
-            }
-            MatchDecision::Queued => {}
-        }
-    }
-
-    fn handle_sweep(&mut self, queue: &mut WheelQueue<CampaignEvent>, now: SimTime) {
-        self.platform.set_time(now);
-        let timed_out = self.platform.matchmaker_mut().take_timed_out(now);
-        for player in timed_out {
-            let sid = self.session_ids.next();
-            let transcript = play_esp_replay_session(
-                &mut self.platform,
-                &self.world,
-                &mut self.population,
-                SessionParams::solo(player, sid, now),
-                &mut self.rng,
-            );
-            self.replay_sessions += 1;
-            self.replay_play.record_play(player, transcript.duration());
-            let end = transcript.ended;
-            let dur = transcript.duration();
-            self.after_session(queue, end, player, dur);
-        }
-    }
-
-    fn after_session(
-        &mut self,
-        queue: &mut WheelQueue<CampaignEvent>,
-        end: SimTime,
-        player: PlayerId,
-        played: SimDuration,
-    ) {
-        let plan = self.plans.get_mut(&player).expect("planned player"); // hc-analyze: allow(P1): every registered player gets a plan at construction
-        plan.remaining = plan
-            .remaining
-            .saturating_sub(played.max(SimDuration::from_secs(1)));
-        if !plan.remaining.is_zero() {
-            queue.push(end, CampaignEvent::Arrival(player));
-        } else if plan.next < plan.sittings.len() {
-            let gap = Exponential::new(1.0 / self.config.mean_return_gap.as_secs_f64().max(1e-6))
-                .expect("positive gap") // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
-                .sample(&mut self.rng);
-            queue.push(
-                end + SimDuration::from_secs_f64(gap),
-                CampaignEvent::Arrival(player),
-            );
-        }
-    }
-
-    fn report(&self) -> EspCampaignReport {
-        // Campaign ALP = platform ledger (live sessions, both seats)
-        // merged with replay-session play time.
-        let mut ledger = ContributionLedger::new();
-        ledger.merge(&self.replay_play);
-        let platform_metrics = self.platform.metrics();
-        // Merge platform per-player time by re-deriving from its ledger is
-        // not exposed; approximate by adding totals: the platform ledger
-        // already carries per-player live time, so ask it directly.
-        let metrics = {
-            // Combine: total outputs come from the platform; hours from both.
-            let hours = platform_metrics.total_human_hours + ledger.total_human_hours();
-            let players = platform_metrics.player_count.max(ledger.player_count());
-            let throughput = if hours > 0.0 {
-                platform_metrics.total_outputs as f64 / hours
-            } else {
-                0.0
-            };
-            let alp = if players > 0 {
-                hours / players as f64
-            } else {
-                0.0
-            };
-            GwapMetrics {
-                throughput_per_human_hour: throughput,
-                alp_hours: alp,
-                expected_contribution: throughput * alp,
-                total_outputs: platform_metrics.total_outputs,
-                total_human_hours: hours,
-                player_count: players,
-            }
-        };
+        let report = self.campaign.run();
         EspCampaignReport {
-            metrics,
-            precision: self.world.verified_precision(&self.platform),
-            matchmaker: self.platform.matchmaker().pool().stats(),
-            live_sessions: self.live_sessions,
-            replay_sessions: self.replay_sessions,
-            mean_wait_secs: self.platform.matchmaker().pool().wait_stats().mean(),
+            metrics: report.metrics,
+            precision: self.world().verified_precision(self.platform()),
+            matchmaker: report.matchmaker,
+            live_sessions: report.sessions,
+            replay_sessions: report.solo_sessions,
+            mean_wait_secs: report.mean_wait_secs,
         }
     }
 
     /// The platform, for post-run inspection.
     #[must_use]
     pub fn platform(&self) -> &Platform {
-        &self.platform
+        self.campaign.platform()
     }
 
     /// The world, for post-run inspection.
     #[must_use]
     pub fn world(&self) -> &EspWorld {
-        &self.world
+        &self.campaign.driver().world
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hc_crowd::PopulationBuilder;
     use rand::SeedableRng;
 
     fn rng() -> SimRng {

@@ -16,9 +16,10 @@
 //! [`world`] holds the synthetic ground truth each game plays over; every
 //! game module exposes a `play_*_session` function (drive one session
 //! between two seated players, feeding the [`Platform`](hc_core::Platform)
-//! pipeline) and `esp` additionally exposes the full event-driven
-//! [`campaign`](esp::EspCampaign) with arrivals, matchmaking and
-//! replay-bot fallback — the machinery experiments T1 and F3–F6 run on.
+//! pipeline), whose rounds the sharded engine ([`shard`]) plays through
+//! the same round engine. [`campaign`] is the one serial event loop
+//! (arrivals, matchmaking, replay-bot fallback) — [`esp::EspCampaign`],
+//! behind experiments T1 and F3–F6, runs on it.
 //!
 //! ## Example: one ESP session end to end
 //!
@@ -56,6 +57,7 @@ pub mod esp;
 pub mod matchin;
 pub mod params;
 pub mod peekaboom;
+mod round;
 pub mod shard;
 pub mod squigl;
 pub mod tagatune;

@@ -10,6 +10,8 @@
 //! recovered ranking is scored against the latent truth by Kendall tau
 //! (experiment T1's Matchin row).
 
+use crate::params::SessionParams;
+use crate::round::score;
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::Population;
@@ -160,21 +162,17 @@ impl BradleyTerryRanking {
 }
 
 /// Drives one Matchin session, feeding outcomes into `ranking`.
-#[allow(clippy::too_many_arguments)]
 pub fn play_matchin_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &MatchinWorld,
     population: &mut Population,
-    left: PlayerId,
-    right: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     ranking: &mut BradleyTerryRanking,
     rng: &mut R,
 ) -> SessionTranscript {
-    let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
-    let mut now = start;
+    let [left, right] = params.seats;
+    let mut session = params.open(platform.config().session);
+    let mut now = params.start;
     let mut streaks = [0u32; 2];
 
     while session.can_play_more(now) && world.len() >= 2 {
@@ -207,13 +205,9 @@ pub fn play_matchin_session<R: Rng + ?Sized>(
         }
         let end = now + duration;
         let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
+        let points = streaks
+            .each_mut()
+            .map(|s| score(rule, matched, duration, s));
         session.record_round(RoundRecord {
             template: TemplateKind::OutputAgreement,
             task: TaskId::new(a as u64),
@@ -277,10 +271,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut ranking,
             &mut r,
         );

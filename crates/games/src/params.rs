@@ -51,6 +51,12 @@ impl SessionParams {
     pub fn right(&self) -> PlayerId {
         self.seats[1]
     }
+
+    /// Opens the session these params describe.
+    #[must_use]
+    pub(crate) fn open(&self, config: SessionConfig) -> Session {
+        Session::new(self.session_id, self.seats, self.start, config)
+    }
 }
 
 #[cfg(test)]
@@ -69,5 +75,6 @@ mod tests {
         assert_eq!(p.right(), PlayerId::new(2));
         let s = SessionParams::solo(PlayerId::new(3), SessionId::new(10), SimTime::ZERO);
         assert_eq!(s.left(), s.right());
+        assert_eq!(p.open(SessionConfig::default()).players(), p.seats);
     }
 }

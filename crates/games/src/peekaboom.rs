@@ -8,6 +8,8 @@
 //! is scored as intersection-over-union between the revealed union and
 //! the true object box.
 
+use crate::params::SessionParams;
+use crate::round::{play_session, PlayedRound, RoundSource, Table};
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::{LabelDistribution, Population, Vocabulary};
@@ -26,9 +28,6 @@ const MAX_REVEALS: usize = 8;
 
 /// Guesses per reveal.
 const GUESSES_PER_REVEAL: usize = 2;
-
-/// Pause between rounds.
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// One Peekaboom stimulus: an object with a name and a true bounding box.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,126 +152,113 @@ impl PeekaboomOutputs {
 }
 
 /// Drives one Peekaboom session (left seat = Boom, right = Peek).
-#[allow(clippy::too_many_arguments)]
 pub fn play_peekaboom_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &PeekaboomWorld,
     population: &mut Population,
-    boom: PlayerId,
-    peek: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     rng: &mut R,
 ) -> (SessionTranscript, PeekaboomOutputs) {
-    let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [boom, peek], start, cfg);
+    let [boom, peek] = params.seats;
+    let session = params.open(platform.config().session);
+    let (pb, pp) = population
+        .get_pair_mut(boom, peek)
+        .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
+    let table = Table::new(world, session, [pb, pp], platform.score_rule());
     let mut outputs = PeekaboomOutputs::default();
-    let mut now = start;
-    let mut streaks = [0u32; 2];
+    let mut source = RoundSource::platform(platform, &params.seats, false);
+    let transcript = play_session(
+        table,
+        &mut source,
+        rng,
+        |world, task| world.object_for_task(task).cloned(),
+        |table, planned, object, now, rng| {
+            let task = planned.task;
+            let limit = table.time_limit();
+            let mut round = InversionRound::new(task, object.word.clone(), limit);
+            let deadline = now + limit;
+            let [pb, pp] = &mut table.profiles;
+            let mut cursor = now;
+            let mut reveals: Vec<Region> = Vec::new();
+            let mut end = deadline;
+            let mut matched = false;
 
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[boom, peek], rng) else {
-            break;
-        };
-        platform.record_served(task, &[boom, peek]);
-        let Some(object) = world.object_for_task(task).cloned() else {
-            break;
-        };
-        let mut round = InversionRound::new(task, object.word.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-        let (pb, pp) = population
-            .get_pair_mut(boom, peek)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let mut cursor = now;
-        let mut reveals: Vec<Region> = Vec::new();
-        let mut end = deadline;
-        let mut matched = false;
-
-        'round: for _ in 0..MAX_REVEALS {
-            let reveal = world.sample_reveal(&object, pb.skill, rng);
-            let latency = pb.response.sample(None, rng);
-            cursor += latency;
-            if cursor > deadline {
-                break 'round;
-            }
-            if matches!(
-                round.submit(Seat::Left, Answer::Region(reveal), cursor),
-                SubmitOutcome::RoundOver
-            ) {
-                break 'round;
-            }
-            reveals.push(reveal);
-
-            // Peek's guess quality scales with how much object is visible.
-            let coverage = PeekaboomWorld::coverage(&object, &reveals);
-            let p_word = (0.05 + 0.9 * coverage).clamp(0.0, 0.98);
-            let candidates = LabelDistribution::new(vec![
-                (object.word.clone(), p_word.max(0.01)),
-                (
-                    Label::new(&format!("noise{}a", task.raw())),
-                    (1.0 - p_word) / 2.0 + 1e-9,
-                ),
-                (
-                    Label::new(&format!("noise{}b", task.raw())),
-                    (1.0 - p_word) / 2.0 + 1e-9,
-                ),
-            ])
-            .expect("valid candidate weights"); // hc-analyze: allow(P1): candidate weights are positive by construction
-            for _ in 0..GUESSES_PER_REVEAL {
-                let guess = pp
-                    .behavior
-                    .guess(&candidates, world.vocabulary(), pp.skill, rng);
-                let latency = pp.response.sample(
-                    match &guess {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
+            'round: for _ in 0..MAX_REVEALS {
+                let reveal = world.sample_reveal(&object, pb.skill, rng);
+                let latency = pb.response.sample(None, rng);
                 cursor += latency;
                 if cursor > deadline {
                     break 'round;
                 }
-                match round.submit(Seat::Right, guess, cursor) {
-                    SubmitOutcome::Matched(_) => {
-                        matched = true;
-                        end = cursor;
+                if matches!(
+                    round.submit(Seat::Left, Answer::Region(reveal), cursor),
+                    SubmitOutcome::RoundOver
+                ) {
+                    break 'round;
+                }
+                reveals.push(reveal);
+
+                // Peek's guess quality scales with how much object is visible.
+                let coverage = PeekaboomWorld::coverage(&object, &reveals);
+                let p_word = (0.05 + 0.9 * coverage).clamp(0.0, 0.98);
+                let candidates = LabelDistribution::new(vec![
+                    (object.word.clone(), p_word.max(0.01)),
+                    (
+                        Label::new(&format!("noise{}a", task.raw())),
+                        (1.0 - p_word) / 2.0 + 1e-9,
+                    ),
+                    (
+                        Label::new(&format!("noise{}b", task.raw())),
+                        (1.0 - p_word) / 2.0 + 1e-9,
+                    ),
+                ])
+                .expect("valid candidate weights"); // hc-analyze: allow(P1): candidate weights are positive by construction
+                for _ in 0..GUESSES_PER_REVEAL {
+                    let guess = pp
+                        .behavior
+                        .guess(&candidates, world.vocabulary(), pp.skill, rng);
+                    cursor += pp.response.sample(guess.as_text(), rng);
+                    if cursor > deadline {
                         break 'round;
                     }
-                    SubmitOutcome::RoundOver => break 'round,
-                    _ => {}
+                    match round.submit(Seat::Right, guess, cursor) {
+                        SubmitOutcome::Matched(_) => {
+                            matched = true;
+                            end = cursor;
+                            break 'round;
+                        }
+                        SubmitOutcome::RoundOver => break 'round,
+                        _ => {}
+                    }
                 }
             }
-        }
 
-        let result = round.finish(end.min(deadline));
-        if let Some(region) = result.revealed_region() {
-            let iou = region.iou(&object.bbox);
-            outputs.locations.push((task, region, iou));
-            // The localized word is a verified association for the image.
-            let _ = platform.ingest_agreement(task, object.word.clone(), boom, peek);
-        }
-        let duration = result.duration;
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::InversionProblem,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points,
-        });
-        now = end.min(deadline) + INTER_ROUND_GAP;
-    }
-
-    let transcript = session.finish(now);
+            let result = round.finish(end.min(deadline));
+            let mut agreements = Vec::new();
+            if let Some(region) = result.revealed_region() {
+                let iou = region.iou(&object.bbox);
+                outputs.locations.push((task, region, iou));
+                // The localized word is a verified association for the image.
+                agreements.push((object.word, boom, peek));
+            }
+            let duration = result.duration;
+            let points = table.score(matched, duration);
+            let record = RoundRecord {
+                template: TemplateKind::InversionProblem,
+                task,
+                matched,
+                candidate_outputs: u32::from(matched),
+                duration,
+                points,
+            };
+            let effects = PlayedRound {
+                task,
+                agreements,
+                recording: None,
+            };
+            (record, effects, end.min(deadline))
+        },
+    );
     platform.record_session(&transcript);
     (transcript, outputs)
 }
@@ -308,10 +294,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut r,
         );
         assert!(t.rounds() > 0);

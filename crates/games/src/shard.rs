@@ -1,12 +1,14 @@
 //! Sharded single-run campaigns over the [`hc_sim::shard`] engine.
 //!
-//! [`EspCampaign`](crate::esp::EspCampaign) and the generic
-//! [`Campaign`](crate::campaign::Campaign) process one event at a time on
-//! one core; this module re-architects the same deployment dynamics
-//! (Poisson sittings, random matching, replay-bot fallback,
+//! The serial [`Campaign`](crate::campaign::Campaign) loop (which
+//! [`EspCampaign`](crate::esp::EspCampaign) runs on) processes one event
+//! at a time on one core; this module re-architects the same deployment
+//! dynamics (Poisson sittings, random matching, replay-bot fallback,
 //! engagement-driven returns) as a [`ShardWorkload`] so one run scales
 //! across cores while staying byte-identical at any `--shards` ×
-//! `--threads` combination.
+//! `--threads` combination. Sessions play their rounds through the same
+//! round engine as serial sessions (`round.rs`): only where the
+//! rounds come from differs.
 //!
 //! ## Who owns what
 //!
@@ -41,10 +43,11 @@
 //!
 //! The hub *plans* sessions (task selection, taboo lists, replay
 //! recordings — everything that reads platform state) and *applies*
-//! outcomes in session-id order; shards *play* them purely from the
-//! plan. Planning is optimistic: up to `max_rounds` rounds are planned
-//! and marked served even when the session ends early — a documented,
-//! deterministic deviation from the serial campaigns (see DESIGN.md,
+//! outcomes in session-id order through `apply_round`; shards *play*
+//! them purely from the plan. Planning is optimistic: up to
+//! `max_rounds` rounds are planned and marked served even when the
+//! session ends early — a documented, deterministic deviation from the
+//! serial campaigns (see DESIGN.md,
 //! "Sharding & determinism"). Matching inside a skill tier and the
 //! arrival→bucket delivery hop (pairing lands one window after the
 //! arrival is emitted) are likewise documented deviations.
@@ -59,29 +62,21 @@
 //! the merged order — and therefore every downstream byte —
 //! `K`-invariant.
 
-use crate::params::SessionParams;
+pub use crate::round::{PlannedRound, PlayedRound};
+
+use crate::esp::{live_round, solo_round, EspWorld};
+use crate::round::{apply_round, play_session, RoundSource, Table};
+use crate::verbosity::{verbosity_round, VerbosityWorld};
 use crate::world::WorldConfig;
 use hc_collect::{DetMap, PlayerStore, SliceArena, Span};
 use hc_core::prelude::*;
-use hc_crowd::{ArchetypeMix, EngagementModel, PlayerProfile, PopulationBuilder};
+use hc_crowd::{ArchetypeMix, EngagementModel, PlayerProfile};
 use hc_sim::dist::Exponential;
 use hc_sim::shard::{
     Addr, HubDecision, Mailbox, ShardConfig, ShardError, ShardWorkload, WindowInfo,
 };
 use hc_sim::{OnlineStats, RngFactory, SimRng, WheelQueue};
 use rand::Rng;
-
-/// Pause between rounds within a session (mirrors the serial drivers).
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
-
-/// Maximum answers one seat may produce per round (ESP interface).
-const MAX_GUESSES_PER_SEAT: usize = 15;
-
-/// Maximum hints a Verbosity narrator sends per round.
-const MAX_HINTS: usize = 6;
-
-/// Verbosity guesses allowed per hint received.
-const GUESSES_PER_HINT: usize = 2;
 
 // Exchange-key tags (bits 120+). `Play`/`Done` use the raw session id
 // (tag 0); timestamped player messages get a tag so the keyspaces never
@@ -96,17 +91,6 @@ const TAG_TIMEOUT: u128 = 4 << 120;
 /// window, and independent of the shard layout.
 fn player_key(tag: u128, at: SimTime, player: PlayerId) -> u128 {
     tag | (u128::from(at.ticks()) << 64) | u128::from(player.raw())
-}
-
-/// One hub-planned round, shipped to the playing shard.
-#[derive(Debug, Clone)]
-pub struct PlannedRound {
-    /// Task to play.
-    pub task: TaskId,
-    /// Taboo list frozen at plan time.
-    pub taboo: TabooList,
-    /// Replay recording for solo sessions (`None` live or unseeded).
-    pub recording: Option<RecordedRound>,
 }
 
 /// Everything a shard needs to play one session without the platform.
@@ -124,17 +108,6 @@ pub struct SessionJob {
     pub profiles: Vec<PlayerProfile>,
     /// Hub-planned rounds, in play order.
     pub rounds: Vec<PlannedRound>,
-}
-
-/// Platform effects of one played round, applied by the hub in order.
-#[derive(Debug)]
-pub struct PlayedRound {
-    /// The round's task.
-    pub task: TaskId,
-    /// Agreements to ingest, in submission order.
-    pub agreements: Vec<(Label, PlayerId, PlayerId)>,
-    /// Left-seat trace recorded for future replay bots.
-    pub recording: Option<RecordedRound>,
 }
 
 /// A fully played session: the transcript plus the hub-applied effects.
@@ -195,22 +168,28 @@ pub trait ShardGame: Send + Sync + std::fmt::Debug {
     fn register(&self, platform: &mut Platform);
 
     /// Plans a live session for `seats` (hub side; may mutate platform
-    /// scheduling state).
+    /// scheduling state). The default picks tasks as a serial session
+    /// would, ahead of play.
     fn plan_live(
         &self,
         platform: &mut Platform,
         seats: [PlayerId; 2],
         rng: &mut SimRng,
-    ) -> Vec<PlannedRound>;
+    ) -> Vec<PlannedRound> {
+        plan_rounds(platform, &seats, rng, false)
+    }
 
     /// Plans a solo fallback session for a timed-out waiter, or `None`
-    /// when the game has no solo mode (the player gives up instead).
+    /// when the game has no solo mode (the default: the player gives up
+    /// instead).
     fn plan_solo(
         &self,
-        platform: &mut Platform,
-        player: PlayerId,
-        rng: &mut SimRng,
-    ) -> Option<Vec<PlannedRound>>;
+        _platform: &mut Platform,
+        _player: PlayerId,
+        _rng: &mut SimRng,
+    ) -> Option<Vec<PlannedRound>> {
+        None
+    }
 
     /// Plays a planned session purely: no platform, all randomness from
     /// `rng` (the session's own indexed stream, identical wherever the
@@ -306,11 +285,7 @@ impl ShardedCampaignReport {
     /// Precision as a fraction (1.0 when nothing verified).
     #[must_use]
     pub fn precision_rate(&self) -> f64 {
-        if self.precision.1 == 0 {
-            1.0
-        } else {
-            self.precision.0 as f64 / self.precision.1 as f64
-        }
+        crate::world::precision_rate(self.precision)
     }
 }
 
@@ -391,15 +366,13 @@ impl<D: ShardGame> ShardedCampaign<D> {
     pub fn new(driver: D, config: ShardedCampaignConfig, seed: u64) -> Self {
         assert!(config.shards > 0, "at least one shard is required");
         let factory = RngFactory::new(seed);
-        let mut platform = Platform::new(config.platform).expect("valid platform config"); // hc-analyze: allow(P1): documented # Panics contract for invalid experiment configs
-        driver.register(&mut platform);
-        let mut pop_rng = factory.stream("population");
-        let population = PopulationBuilder::new(config.players)
-            .mix(config.mix.clone())
-            .build(&mut pop_rng);
-        for _ in 0..config.players {
-            platform.register_player();
-        }
+        let (platform, population) = crate::campaign::deploy(
+            config.platform,
+            config.players,
+            &config.mix,
+            &factory,
+            |platform| driver.register(platform),
+        );
         let spread = Exponential::new(1.0 / config.arrival_spread.as_secs_f64().max(1e-6))
             .expect("positive spread"); // hc-analyze: allow(P1): rate argument clamped to at least 1e-6
         let k = config.shards;
@@ -514,33 +487,9 @@ impl<D: ShardGame> ShardedCampaign<D> {
     }
 
     fn report(&self) -> ShardedCampaignReport {
-        // Campaign ALP = platform ledger (live sessions) merged with
-        // solo-session play time, mirroring `EspCampaign::report`.
-        let mut ledger = ContributionLedger::new();
-        ledger.merge(&self.solo_play);
-        let platform_metrics = self.platform.metrics();
-        let hours = platform_metrics.total_human_hours + ledger.total_human_hours();
-        let players = platform_metrics.player_count.max(ledger.player_count());
-        let throughput = if hours > 0.0 {
-            platform_metrics.total_outputs as f64 / hours
-        } else {
-            0.0
-        };
-        let alp = if players > 0 {
-            hours / players as f64
-        } else {
-            0.0
-        };
         ShardedCampaignReport {
             game: self.driver.name(),
-            metrics: GwapMetrics {
-                throughput_per_human_hour: throughput,
-                alp_hours: alp,
-                expected_contribution: throughput * alp,
-                total_outputs: platform_metrics.total_outputs,
-                total_human_hours: hours,
-                player_count: players,
-            },
+            metrics: self.platform.metrics_with(&self.solo_play),
             precision: self.driver.precision(&self.platform),
             matchmaker: self.match_stats,
             live_sessions: self.live_sessions,
@@ -649,17 +598,10 @@ impl<D: ShardGame> ShardedCampaign<D> {
     /// Hub-side: applies a finished session's effects in play order.
     fn apply_done(&mut self, solo: bool, outcome: PlayedSession) {
         self.in_flight -= 1;
-        let transcript = &outcome.transcript;
+        let PlayedSession { transcript, rounds } = outcome;
         self.platform.set_time(transcript.ended);
-        for round in &outcome.rounds {
-            for (label, a, b) in &round.agreements {
-                let _ = self
-                    .platform
-                    .ingest_agreement(round.task, label.clone(), *a, *b);
-            }
-            if let Some(rec) = &round.recording {
-                self.platform.replay_mut().record(rec.clone());
-            }
+        for round in rounds {
+            apply_round(&mut self.platform, round);
         }
         if solo {
             let player = transcript.players[0];
@@ -667,7 +609,7 @@ impl<D: ShardGame> ShardedCampaign<D> {
             self.solo_play.record_play(player, transcript.duration());
             self.solo_sessions += 1;
         } else {
-            self.platform.record_session(transcript);
+            self.platform.record_session(&transcript);
             self.live_sessions += 1;
         }
         if hc_obs::active() {
@@ -970,15 +912,6 @@ impl ShardGame for EspShardGame {
         self.world.register_tasks(platform);
     }
 
-    fn plan_live(
-        &self,
-        platform: &mut Platform,
-        seats: [PlayerId; 2],
-        rng: &mut SimRng,
-    ) -> Vec<PlannedRound> {
-        plan_rounds(platform, &seats, rng, false)
-    }
-
     fn plan_solo(
         &self,
         platform: &mut Platform,
@@ -995,10 +928,21 @@ impl ShardGame for EspShardGame {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        if job.solo {
-            play_esp_solo_planned(&self.world, job, cfg, rule, rng)
+        let (world, truth) = (&self.world, EspWorld::truth_for_task);
+        let mut source = RoundSource::planned(std::mem::take(&mut job.rounds));
+        let transcript = if job.solo {
+            let session = Session::new(job.sid, [job.seats[0]; 2], job.start, cfg);
+            let table = Table::new(world, session, &mut job.profiles[0], rule);
+            play_session(table, &mut source, rng, truth, solo_round)
         } else {
-            play_esp_live_planned(&self.world, job, cfg, rule, rng)
+            let session = Session::new(job.sid, job.seats, job.start, cfg);
+            let (left, right) = job.profiles.split_at_mut(1);
+            let table = Table::new(world, session, [&mut left[0], &mut right[0]], rule);
+            play_session(table, &mut source, rng, truth, live_round)
+        };
+        PlayedSession {
+            transcript,
+            rounds: source.into_played(),
         }
     }
 
@@ -1011,9 +955,10 @@ impl ShardGame for EspShardGame {
     }
 }
 
-/// Plans up to `max_rounds` rounds for `seats`, marking tasks served.
-/// Over-planning is deliberate: the shard stops early when the session
-/// budget runs out, and the extra served marks are deterministic.
+/// Plans up to `max_rounds` rounds for `seats`, marking tasks served —
+/// the serial sessions' task pick, run ahead of play. Over-planning is
+/// deliberate: the shard stops early when the session budget runs out,
+/// and the extra served marks are deterministic.
 fn plan_rounds(
     platform: &mut Platform,
     seats: &[PlayerId],
@@ -1022,302 +967,14 @@ fn plan_rounds(
 ) -> Vec<PlannedRound> {
     let max_rounds = platform.config().session.max_rounds as usize;
     let mut rounds = Vec::with_capacity(max_rounds);
-    for _ in 0..max_rounds {
-        let Some(task) = platform.next_task_for(seats, rng) else {
+    let mut source = RoundSource::platform(platform, seats, with_recordings);
+    while rounds.len() < max_rounds {
+        let Some((round, ())) = source.next(|_| Some(()), rng) else {
             break;
         };
-        platform.record_served(task, seats);
-        let recording = if with_recordings {
-            platform.replay().sample(task, rng).cloned()
-        } else {
-            None
-        };
-        rounds.push(PlannedRound {
-            task,
-            taboo: platform.taboo_for(task),
-            recording,
-        });
+        rounds.push(round);
     }
     rounds
-}
-
-/// Pure planned version of [`crate::esp::play_esp_session`]: same round
-/// state machine, but tasks/taboos come from the plan and platform
-/// effects are collected instead of applied.
-fn play_esp_live_planned(
-    world: &crate::esp::EspWorld,
-    job: &mut SessionJob,
-    cfg: SessionConfig,
-    rule: ScoreRule,
-    rng: &mut SimRng,
-) -> PlayedSession {
-    let params = SessionParams::pair(job.seats[0], job.seats[1], job.sid, job.start);
-    let [left, right] = params.seats;
-    let mut session = Session::new(job.sid, [left, right], job.start, cfg);
-    let mut now = job.start;
-    let mut streaks = [0u32; 2];
-    // The hot loop: rounds are consumed by value so every taboo list
-    // moves straight into its round (no per-round clone), the output is
-    // pre-sized from the plan cardinality, and the recording trace is a
-    // reused scratch buffer.
-    let rounds = std::mem::take(&mut job.rounds);
-    let mut played = Vec::with_capacity(rounds.len());
-    let mut left_trace: Vec<(SimDuration, Label)> = Vec::new();
-    let (pa, rest) = job.profiles.split_at_mut(1);
-
-    for planned in rounds {
-        if !session.can_play_more(now) {
-            break;
-        }
-        let PlannedRound { task, taboo, .. } = planned;
-        let Some(truth) = world.truth_for_task(task) else {
-            break;
-        };
-        let mut round = OutputAgreementRound::with_guess_capacity(
-            task,
-            taboo,
-            cfg.round_time_limit,
-            MAX_GUESSES_PER_SEAT,
-        );
-        let deadline = now + cfg.round_time_limit;
-        let mut profiles = [&mut pa[0], &mut rest[0]];
-        let mut cursors = [now, now];
-        let mut guesses_left = [MAX_GUESSES_PER_SEAT; 2];
-        left_trace.clear();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            let seat_idx = if cursors[0] <= cursors[1] { 0 } else { 1 };
-            // hc-analyze: allow(P1): seat_idx is 0 or 1 by construction
-            if guesses_left[seat_idx] == 0 && guesses_left[1 - seat_idx] == 0 {
-                break;
-            }
-            if guesses_left[seat_idx] == 0 {
-                cursors[seat_idx] = SimTime::MAX;
-                continue;
-            }
-            let profile = &mut profiles[seat_idx];
-            let answer =
-                profile
-                    .behavior
-                    .next_answer(truth, world.vocabulary(), round.taboo(), rng);
-            let latency = profile.response.sample(
-                match &answer {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursors[seat_idx] += latency;
-            guesses_left[seat_idx] -= 1;
-            let at = cursors[seat_idx];
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    left_trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        let mut agreements = Vec::new();
-        if let Some(label) = matched_label.or(result.agreed_label) {
-            agreements.push((label, left, right));
-        }
-        let recording = (!left_trace.is_empty())
-            .then(|| RecordedRound::new(task, left, std::mem::take(&mut left_trace)));
-        let duration = end.saturating_since(now);
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points,
-        });
-        played.push(PlayedRound {
-            task,
-            agreements,
-            recording,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    PlayedSession {
-        transcript: session.finish(now),
-        rounds: played,
-    }
-}
-
-/// Pure planned version of [`crate::esp::play_esp_replay_session`].
-fn play_esp_solo_planned(
-    world: &crate::esp::EspWorld,
-    job: &mut SessionJob,
-    cfg: SessionConfig,
-    rule: ScoreRule,
-    rng: &mut SimRng,
-) -> PlayedSession {
-    let player = job.seats[0];
-    let mut session = Session::new(job.sid, [player, player], job.start, cfg);
-    let mut now = job.start;
-    let mut streak = 0u32;
-    // Consumed by value: the taboo list moves into the round and the
-    // seeded recording's labels move into the bot event feed — the
-    // only per-round label clones left are the human's own trace.
-    let rounds = std::mem::take(&mut job.rounds);
-    let mut played = Vec::with_capacity(rounds.len());
-    let mut trace: Vec<(SimDuration, Label)> = Vec::new();
-    let profile = &mut job.profiles[0];
-
-    for planned in rounds {
-        if !session.can_play_more(now) {
-            break;
-        }
-        let PlannedRound {
-            task,
-            taboo,
-            recording: seeded,
-        } = planned;
-        let Some(truth) = world.truth_for_task(task) else {
-            break;
-        };
-        let recorded_player = seeded.as_ref().map(|r| r.recorded_player);
-        let mut round = OutputAgreementRound::with_guess_capacity(
-            task,
-            taboo,
-            cfg.round_time_limit,
-            MAX_GUESSES_PER_SEAT,
-        );
-        let deadline = now + cfg.round_time_limit;
-        let mut bot_events: Vec<(SimTime, Label)> = seeded
-            .map(|r| r.events.into_iter().map(|(d, l)| (now + d, l)).collect())
-            .unwrap_or_default();
-        bot_events.reverse(); // pop() from the back = chronological order
-
-        let mut cursor = now;
-        let mut guesses_left = MAX_GUESSES_PER_SEAT;
-        trace.clear();
-        let mut matched_label: Option<Label> = None;
-        let mut end = deadline;
-
-        loop {
-            let next_bot = bot_events.last().map(|(t, _)| *t).unwrap_or(SimTime::MAX);
-            let human_turn = cursor <= next_bot && guesses_left > 0;
-            if !human_turn && next_bot == SimTime::MAX {
-                break;
-            }
-            let (seat, at, answer) = if human_turn {
-                let answer =
-                    profile
-                        .behavior
-                        .next_answer(truth, world.vocabulary(), round.taboo(), rng);
-                let latency = profile.response.sample(
-                    match &answer {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                guesses_left -= 1;
-                (Seat::Left, cursor, answer)
-            } else {
-                let (t, l) = bot_events.pop().expect("checked non-empty"); // hc-analyze: allow(P1): branch taken only when bot_events is non-empty
-                (Seat::Right, t, Answer::Text(l))
-            };
-            if at > deadline {
-                end = deadline;
-                break;
-            }
-            if seat == Seat::Left {
-                if let Answer::Text(l) = &answer {
-                    trace.push((at.saturating_since(now), l.clone()));
-                }
-            }
-            match round.submit(seat, answer, at) {
-                SubmitOutcome::Matched(label) => {
-                    matched_label = label;
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::BothPassed => {
-                    end = at;
-                    break;
-                }
-                SubmitOutcome::RoundOver => {
-                    end = deadline;
-                    break;
-                }
-                _ => {}
-            }
-        }
-
-        let result = round.finish(end);
-        let matched = result.is_match();
-        let mut agreements = Vec::new();
-        if let (Some(label), Some(rec_player)) =
-            (matched_label.or(result.agreed_label), recorded_player)
-        {
-            agreements.push((label, player, rec_player));
-        }
-        let recording = (!trace.is_empty())
-            .then(|| RecordedRound::new(task, player, std::mem::take(&mut trace)));
-        let duration = end.saturating_since(now);
-        let points = rule.round_score(matched, duration.as_secs_f64(), streak);
-        streak = if matched { streak + 1 } else { 0 };
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration,
-            points: [points, 0],
-        });
-        played.push(PlayedRound {
-            task,
-            agreements,
-            recording,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    PlayedSession {
-        transcript: session.finish(now),
-        rounds: played,
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1326,7 +983,8 @@ fn play_esp_solo_planned(
 
 /// Verbosity as a [`ShardGame`]: inversion-problem sessions with roles
 /// alternating by session-id parity; no solo mode (timed-out waiters
-/// give up and return at a later sitting).
+/// give up and return at a later sitting — Verbosity has no replay-bot
+/// story).
 #[derive(Debug)]
 pub struct VerbosityShardGame {
     /// The secrets world (shared, read-only during the run).
@@ -1347,24 +1005,8 @@ impl ShardGame for VerbosityShardGame {
         self.world.register_tasks(platform);
     }
 
-    fn plan_live(
-        &self,
-        platform: &mut Platform,
-        seats: [PlayerId; 2],
-        rng: &mut SimRng,
-    ) -> Vec<PlannedRound> {
-        plan_rounds(platform, &seats, rng, false)
-    }
-
-    fn plan_solo(
-        &self,
-        _platform: &mut Platform,
-        _player: PlayerId,
-        _rng: &mut SimRng,
-    ) -> Option<Vec<PlannedRound>> {
-        None // Verbosity has no replay-bot story
-    }
-
+    /// Roles alternate by session-id parity (the serial driver flips a
+    /// global bool, which a sharded run cannot do order-independently).
     fn play(
         &self,
         job: &mut SessionJob,
@@ -1372,164 +1014,35 @@ impl ShardGame for VerbosityShardGame {
         rule: ScoreRule,
         rng: &mut SimRng,
     ) -> PlayedSession {
-        play_verbosity_planned(&self.world, job, cfg, rule, rng)
+        let [a, b] = job.seats;
+        let (first, second) = job.profiles.split_at_mut(1);
+        let (seats, profiles) = if job.sid.raw().is_multiple_of(2) {
+            ([a, b], [&mut first[0], &mut second[0]])
+        } else {
+            ([b, a], [&mut second[0], &mut first[0]])
+        };
+        let session = Session::new(job.sid, seats, job.start, cfg);
+        let table = Table::new(&self.world, session, profiles, rule);
+        let mut source = RoundSource::planned(std::mem::take(&mut job.rounds));
+        let transcript = play_session(
+            table,
+            &mut source,
+            rng,
+            VerbosityWorld::round_truth,
+            verbosity_round,
+        );
+        PlayedSession {
+            transcript,
+            rounds: source.into_played(),
+        }
     }
 
     fn precision(&self, platform: &Platform) -> (usize, usize) {
-        let verified = platform.verified_labels();
-        let correct = verified
-            .iter()
-            .filter(|v| self.world.is_true_fact(v.task, &v.label))
-            .count();
-        (correct, verified.len())
+        self.world.verified_precision(platform)
     }
 
     fn name(&self) -> &'static str {
         "verbosity"
-    }
-}
-
-/// Pure planned version of
-/// [`crate::verbosity::play_verbosity_session`]; roles alternate by
-/// session-id parity (the serial driver flips a global bool, which a
-/// sharded run cannot do order-independently).
-fn play_verbosity_planned(
-    world: &crate::verbosity::VerbosityWorld,
-    job: &mut SessionJob,
-    cfg: SessionConfig,
-    rule: ScoreRule,
-    rng: &mut SimRng,
-) -> PlayedSession {
-    let flip = job.sid.raw().is_multiple_of(2);
-    let (n_idx, g_idx) = if flip { (0, 1) } else { (1, 0) };
-    let (narrator, guesser) = (job.seats[n_idx], job.seats[g_idx]);
-    let mut session = Session::new(job.sid, [narrator, guesser], job.start, cfg);
-    let mut now = job.start;
-    let mut streaks = [0u32; 2];
-    let mut played = Vec::with_capacity(job.rounds.len());
-    let empty_taboo = TabooList::new();
-
-    for planned in &job.rounds {
-        if !session.can_play_more(now) {
-            break;
-        }
-        let task = planned.task;
-        let (Some(secret), Some(facts)) = (
-            world.secret_for_task(task).cloned(),
-            world.facts_for_task(task),
-        ) else {
-            break;
-        };
-        let mut round = InversionRound::new(task, secret, cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-        let mut cursor = now;
-        let mut hints_sent = 0usize;
-        let mut end = deadline;
-        let mut matched = false;
-
-        'round: while hints_sent < MAX_HINTS {
-            let (front, back) = job.profiles.split_at_mut(1);
-            let (pn, pg) = if n_idx == 0 {
-                (&mut front[0], &mut back[0])
-            } else {
-                (&mut back[0], &mut front[0])
-            };
-            let hint = pn
-                .behavior
-                .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
-            let latency = pn.response.sample(
-                match &hint {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursor += latency;
-            if cursor > deadline {
-                break 'round;
-            }
-            match round.submit(Seat::Left, hint, cursor) {
-                SubmitOutcome::BothPassed => {
-                    end = cursor;
-                    break 'round;
-                }
-                SubmitOutcome::RoundOver => {
-                    break 'round;
-                }
-                _ => {}
-            }
-            hints_sent += 1;
-
-            let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
-                break 'round;
-            };
-            for _ in 0..GUESSES_PER_HINT {
-                let guess = pg
-                    .behavior
-                    .guess(&candidates, world.vocabulary(), pg.skill, rng);
-                let latency = pg.response.sample(
-                    match &guess {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                if cursor > deadline {
-                    break 'round;
-                }
-                match round.submit(Seat::Right, guess, cursor) {
-                    SubmitOutcome::Matched(_) => {
-                        matched = true;
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::BothPassed => {
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::RoundOver => {
-                        break 'round;
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let result = round.finish(end.min(deadline));
-        let facts_out = result.validated_facts();
-        let n_facts = facts_out.len() as u32;
-        let agreements = facts_out
-            .into_iter()
-            .map(|(_, clue)| (clue, narrator, guesser))
-            .collect();
-        let duration = result.duration;
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::InversionProblem,
-            task,
-            matched,
-            candidate_outputs: n_facts,
-            duration,
-            points,
-        });
-        played.push(PlayedRound {
-            task,
-            agreements,
-            recording: None,
-        });
-        now = end.min(deadline) + INTER_ROUND_GAP;
-    }
-
-    PlayedSession {
-        transcript: session.finish(now),
-        rounds: played,
     }
 }
 
@@ -1674,6 +1187,52 @@ mod tests {
         let baseline = run(1, 1);
         assert_eq!(run(2, 1), baseline);
         assert_eq!(run(4, 4), baseline);
+    }
+
+    /// 64-bit FNV-1a over the fingerprint text.
+    fn fnv1a(text: &str) -> u64 {
+        text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Frozen bytes, not just layout invariance: a change to Verbosity
+    /// round play, planning or outcome apply that moves any report
+    /// field, float bit or verified fact shows here.
+    #[test]
+    fn verbosity_fingerprint_is_frozen() {
+        let run = |shards: usize, threads: usize| {
+            let factory = RngFactory::new(23);
+            let mut world_rng = factory.stream("world");
+            let driver = VerbosityShardGame::generate(&WorldConfig::small(), &mut world_rng);
+            let mut config = ShardedCampaignConfig::small();
+            config.players = 60;
+            config.horizon = SimTime::from_secs(3 * 3600);
+            config.shards = shards;
+            config.threads = threads;
+            let mut c = ShardedCampaign::new(driver, config, 23);
+            let r = c.run().expect("runs");
+            let fp = fingerprint(&r, c.platform());
+            (
+                format!(
+                    "live={} solo={} precision={:?} outputs={} hours={:?}",
+                    r.live_sessions,
+                    r.solo_sessions,
+                    r.precision,
+                    r.metrics.total_outputs,
+                    r.metrics.total_human_hours
+                ),
+                fnv1a(&fp),
+            )
+        };
+        let frozen = (
+            String::from(
+                "live=47 solo=0 precision=(181, 207) outputs=207 hours=4.2449674761111105",
+            ),
+            4_053_805_824_663_624_231,
+        );
+        assert_eq!(run(1, 1), frozen, "1x1");
+        assert_eq!(run(2, 2), frozen, "2x2");
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! the two traces above a threshold; the verified output is their
 //! intersection.
 
+use crate::params::SessionParams;
+use crate::round::{play_session, PlayedRound, RoundSource, Table};
 use crate::world::WorldConfig;
 use hc_core::prelude::*;
 use hc_crowd::{Population, Vocabulary};
@@ -25,9 +27,6 @@ pub const CANVAS_H: u32 = 480;
 
 /// IoU two traces must reach to count as agreeing.
 pub const AGREEMENT_IOU: f64 = 0.5;
-
-/// Pause between rounds.
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// One Squigl stimulus: a named object with a ground-truth box.
 #[derive(Debug, Clone, PartialEq)]
@@ -154,74 +153,65 @@ impl SquiglOutputs {
 }
 
 /// Drives one Squigl session between two players.
-#[allow(clippy::too_many_arguments)]
 pub fn play_squigl_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &SquiglWorld,
     population: &mut Population,
-    left: PlayerId,
-    right: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     rng: &mut R,
 ) -> (SessionTranscript, SquiglOutputs) {
-    let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
+    let [left, right] = params.seats;
+    let session = params.open(platform.config().session);
+    let (pa, pb) = population
+        .get_pair_mut(left, right)
+        .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
+    let table = Table::new(world, session, [pa, pb], platform.score_rule());
     let mut outputs = SquiglOutputs::default();
-    let mut now = start;
-    let mut streaks = [0u32; 2];
-
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[left, right], rng) else {
-            break;
-        };
-        platform.record_served(task, &[left, right]);
-        let Some(object) = world.object_for_task(task).cloned() else {
-            break;
-        };
-        let (pa, pb) = population
-            .get_pair_mut(left, right)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-                                                       // Each player traces once; tracing takes a few think-time draws.
-        let mut duration = SimDuration::ZERO;
-        let mut traces = [Region::new(0, 0, 0, 0); 2];
-        for (i, profile) in [pa, pb].into_iter().enumerate() {
-            traces[i] = world.sample_trace(&object, profile.skill, profile.is_adversarial(), rng);
-            duration += profile.response.sample(None, rng) * 3;
-        }
-        let iou = traces[0].iou(&traces[1]);
-        let matched = iou >= AGREEMENT_IOU;
-        if matched {
-            if let Some(agreed) = traces[0].intersect(&traces[1]) {
-                outputs
-                    .segmentations
-                    .push((task, agreed, agreed.iou(&object.bbox)));
-                // The agreed association flows through verification.
-                let _ = platform.ingest_agreement(task, object.word.clone(), left, right);
+    let mut source = RoundSource::platform(platform, &params.seats, false);
+    let transcript = play_session(
+        table,
+        &mut source,
+        rng,
+        |world, task| world.object_for_task(task).cloned(),
+        |table, planned, object, now, rng| {
+            let task = planned.task;
+            // Each player traces once; tracing takes a few think-time draws.
+            let mut duration = SimDuration::ZERO;
+            let mut traces = [Region::new(0, 0, 0, 0); 2];
+            for (i, profile) in table.profiles.iter_mut().enumerate() {
+                traces[i] =
+                    world.sample_trace(&object, profile.skill, profile.is_adversarial(), rng);
+                duration += profile.response.sample(None, rng) * 3;
             }
-        }
-        let end = now + duration.min(cfg.round_time_limit);
-        let rule = platform.score_rule();
-        let dur_secs = duration.as_secs_f64();
-        let points = [
-            rule.round_score(matched, dur_secs, streaks[0]),
-            rule.round_score(matched, dur_secs, streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
-            template: TemplateKind::OutputAgreement,
-            task,
-            matched,
-            candidate_outputs: u32::from(matched),
-            duration: duration.min(cfg.round_time_limit),
-            points,
-        });
-        now = end + INTER_ROUND_GAP;
-    }
-
-    let transcript = session.finish(now);
+            let matched = traces[0].iou(&traces[1]) >= AGREEMENT_IOU;
+            let mut agreements = Vec::new();
+            if matched {
+                if let Some(agreed) = traces[0].intersect(&traces[1]) {
+                    outputs
+                        .segmentations
+                        .push((task, agreed, agreed.iou(&object.bbox)));
+                    // The agreed association flows through verification.
+                    agreements.push((object.word, left, right));
+                }
+            }
+            let points = table.score(matched, duration);
+            let played = duration.min(table.time_limit());
+            let record = RoundRecord {
+                template: TemplateKind::OutputAgreement,
+                task,
+                matched,
+                candidate_outputs: u32::from(matched),
+                duration: played,
+                points,
+            };
+            let effects = PlayedRound {
+                task,
+                agreements,
+                recording: None,
+            };
+            (record, effects, now + played)
+        },
+    );
     platform.record_session(&transcript);
     (transcript, outputs)
 }
@@ -257,10 +247,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut rng,
         );
         assert!(t.rounds() > 0);
@@ -284,10 +276,12 @@ mod tests {
                     &mut platform,
                     &world,
                     &mut pop,
-                    PlayerId::new(0),
-                    PlayerId::new(1),
-                    SessionId::new(s),
-                    SimTime::from_secs(s * 1_000),
+                    SessionParams::pair(
+                        PlayerId::new(0),
+                        PlayerId::new(1),
+                        SessionId::new(s),
+                        SimTime::from_secs(s * 1_000),
+                    ),
                     &mut rng,
                 );
                 matched += t.matched_count();

@@ -8,6 +8,8 @@
 //! clips are: clips with overlapping true-tag supports generate wrong
 //! "same" votes.
 
+use crate::params::SessionParams;
+use crate::round::{score, session_span, INTER_ROUND_GAP};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
 use hc_crowd::Population;
@@ -15,9 +17,6 @@ use rand::Rng;
 
 /// Maximum descriptions per seat per round.
 const MAX_DESCRIPTIONS: usize = 3;
-
-/// Pause between rounds.
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// The TagATune clip world.
 #[derive(Debug, Clone)]
@@ -91,21 +90,18 @@ impl TagATuneWorld {
 
 /// Drives one TagATune session; on each round the pair gets the same clip
 /// with probability `p_same_round` (0.5 in the deployed game).
-#[allow(clippy::too_many_arguments)]
 pub fn play_tagatune_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &TagATuneWorld,
     population: &mut Population,
-    left: PlayerId,
-    right: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     p_same_round: f64,
     rng: &mut R,
 ) -> SessionTranscript {
+    let [left, right] = params.seats;
     let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [left, right], start, cfg);
-    let mut now = start;
+    let mut session = params.open(cfg);
+    let mut now = params.start;
     let mut streaks = [0u32; 2];
 
     while session.can_play_more(now) {
@@ -151,34 +147,21 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
                 &empty_taboo,
                 rng,
             );
-            let latency = profile.response.sample(
-                match &answer {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursor += latency;
+            cursor += profile.response.sample(answer.as_text(), rng);
             if cursor > deadline {
                 break 'desc;
             }
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
-            if round.submit(seat, answer, cursor).is_terminal() {
+            if round
+                .submit(Seat::both()[seat_idx], answer, cursor)
+                .is_terminal()
+            {
                 break 'desc;
             }
         }
 
         // Verdict phase.
-        for seat_idx in 0..2 {
-            let seat = if seat_idx == 0 {
-                Seat::Left
-            } else {
-                Seat::Right
-            };
+        for seat in Seat::both() {
+            let seat_idx = seat.index();
             let evidence =
                 TagATuneWorld::same_evidence(truths[seat_idx], round.partner_descriptions(seat));
             let profile = &mut profiles[seat_idx];
@@ -202,13 +185,9 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
         }
         let duration = end.saturating_since(now);
         let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
+        let points = streaks
+            .each_mut()
+            .map(|s| score(rule, matched, duration, s));
         session.record_round(RoundRecord {
             template: TemplateKind::InputAgreement,
             task: left_task,
@@ -222,18 +201,7 @@ pub fn play_tagatune_session<R: Rng + ?Sized>(
 
     let transcript = session.finish(now);
     platform.record_session(&transcript);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "tagatune.session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
-    }
+    session_span("tagatune.session", &transcript);
     transcript
 }
 
@@ -271,10 +239,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 0.5,
                 &mut r,
             );
@@ -294,10 +264,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 0.5,
                 &mut r,
             );
@@ -337,10 +309,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             0.0,
             &mut r,
         );

@@ -8,13 +8,14 @@
 //! probability rises with hints seen — the dynamic this module models
 //! explicitly.
 
+use crate::params::SessionParams;
+use crate::round::{
+    play_session, session_span, PlannedRound, PlayedRound, Round, RoundSource, Table,
+};
 use crate::world::{BaseWorld, WorldConfig};
 use hc_core::prelude::*;
-use hc_crowd::{LabelDistribution, Population};
+use hc_crowd::{LabelDistribution, PlayerProfile, Population};
 use rand::Rng;
-
-/// Pause between rounds.
-const INTER_ROUND_GAP: SimDuration = SimDuration::from_secs(2);
 
 /// Maximum hints the narrator sends per round.
 const MAX_HINTS: usize = 6;
@@ -187,6 +188,27 @@ impl VerbosityWorld {
         self.facts_for_task(task).is_some_and(|f| f.contains(clue))
     }
 
+    /// What a round on `task` needs: its secret and the true facts a
+    /// narrator can state about it.
+    pub(crate) fn round_truth(&self, task: TaskId) -> Option<(Label, &LabelDistribution)> {
+        Some((
+            self.secret_for_task(task)?.clone(),
+            self.facts_for_task(task)?,
+        ))
+    }
+
+    /// Precision of the platform's verified facts against this world.
+    /// Returns `(correct, total)`.
+    #[must_use]
+    pub(crate) fn verified_precision(&self, platform: &Platform) -> (usize, usize) {
+        let verified = platform.verified_labels();
+        let correct = verified
+            .iter()
+            .filter(|v| self.is_true_fact(v.task, &v.label))
+            .count();
+        (correct, verified.len())
+    }
+
     /// The shared vocabulary.
     #[must_use]
     pub fn vocabulary(&self) -> &hc_crowd::Vocabulary {
@@ -222,61 +244,94 @@ impl VerbosityWorld {
 /// Drives one Verbosity session: the *left* player narrates, the *right*
 /// player guesses (callers alternate roles between sessions, as the
 /// deployed game alternates between rounds).
-#[allow(clippy::too_many_arguments)]
 pub fn play_verbosity_session<R: Rng + ?Sized>(
     platform: &mut Platform,
     world: &VerbosityWorld,
     population: &mut Population,
-    narrator: PlayerId,
-    guesser: PlayerId,
-    session_id: SessionId,
-    start: SimTime,
+    params: SessionParams,
     rng: &mut R,
 ) -> SessionTranscript {
-    let cfg = platform.config().session;
-    let mut session = Session::new(session_id, [narrator, guesser], start, cfg);
-    let mut now = start;
-    let mut streaks = [0u32; 2];
+    let session = params.open(platform.config().session);
+    let (pn, pg) = population
+        .get_pair_mut(params.left(), params.right())
+        .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
+    let table = Table::new(world, session, [pn, pg], platform.score_rule());
+    let mut source = RoundSource::platform(platform, &params.seats, false);
+    let transcript = play_session(
+        table,
+        &mut source,
+        rng,
+        VerbosityWorld::round_truth,
+        verbosity_round,
+    );
+    platform.record_session(&transcript);
+    session_span("verbosity.session", &transcript);
+    transcript
+}
 
-    while session.can_play_more(now) {
-        let Some(task) = platform.next_task_for(&[narrator, guesser], rng) else {
-            break;
-        };
-        platform.record_served(task, &[narrator, guesser]);
-        let (Some(secret), Some(facts)) = (
-            world.secret_for_task(task).cloned(),
-            world.facts_for_task(task),
-        ) else {
-            break;
-        };
-        let mut round = InversionRound::new(task, secret.clone(), cfg.round_time_limit);
-        let deadline = now + cfg.round_time_limit;
-        let (pn, pg) = population
-            .get_pair_mut(narrator, guesser)
-            .expect("players exist and are distinct"); // hc-analyze: allow(P1): callers pass two distinct registered ids
-        let empty_taboo = TabooList::new();
-        let mut cursor = now;
-        let mut hints_sent = 0usize;
-        let mut end = deadline;
-        let mut matched = false;
+/// One inversion-problem round, the left seat narrating: the Verbosity
+/// round engine of serial and sharded sessions. The narrator sends up to
+/// [`MAX_HINTS`] hints, each followed by [`GUESSES_PER_HINT`] guesses
+/// informed by the hints so far; a correct guess certifies every hint as
+/// a fact.
+pub(crate) fn verbosity_round<R: Rng + ?Sized>(
+    table: &mut Table<'_, VerbosityWorld, [&mut PlayerProfile; 2]>,
+    planned: PlannedRound,
+    (secret, facts): (Label, &LabelDistribution),
+    now: SimTime,
+    rng: &mut R,
+) -> Round {
+    let task = planned.task;
+    let limit = table.time_limit();
+    let mut round = InversionRound::new(task, secret, limit);
+    let deadline = now + limit;
+    let world = table.world;
+    let [pn, pg] = &mut table.profiles;
+    let empty_taboo = TabooList::new();
+    let mut cursor = now;
+    let mut hints_sent = 0usize;
+    let mut end = deadline;
+    let mut matched = false;
 
-        'round: while hints_sent < MAX_HINTS {
-            // Narrator sends one hint.
-            let hint = pn
+    'round: while hints_sent < MAX_HINTS {
+        // Narrator sends one hint.
+        let hint = pn
+            .behavior
+            .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
+        cursor += pn.response.sample(hint.as_text(), rng);
+        if cursor > deadline {
+            break 'round;
+        }
+        match round.submit(Seat::Left, hint, cursor) {
+            SubmitOutcome::BothPassed => {
+                end = cursor;
+                break 'round;
+            }
+            SubmitOutcome::RoundOver => {
+                break 'round;
+            }
+            _ => {}
+        }
+        hints_sent += 1;
+
+        // Guesser responds with a few attempts informed by the hints.
+        let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
+            break 'round;
+        };
+        for _ in 0..GUESSES_PER_HINT {
+            let guess = pg
                 .behavior
-                .next_answer(facts, world.vocabulary(), &empty_taboo, rng);
-            let latency = pn.response.sample(
-                match &hint {
-                    Answer::Text(l) => Some(l),
-                    _ => None,
-                },
-                rng,
-            );
-            cursor += latency;
+                .guess(&candidates, world.vocabulary(), pg.skill, rng);
+            cursor += pg.response.sample(guess.as_text(), rng);
             if cursor > deadline {
                 break 'round;
             }
-            match round.submit(Seat::Left, hint, cursor) {
+            match round.submit(Seat::Right, guess, cursor) {
+                SubmitOutcome::Matched(_) => {
+                    matched = true;
+                    end = cursor;
+                    break 'round;
+                }
                 SubmitOutcome::BothPassed => {
                     end = cursor;
                     break 'round;
@@ -286,86 +341,36 @@ pub fn play_verbosity_session<R: Rng + ?Sized>(
                 }
                 _ => {}
             }
-            hints_sent += 1;
+        }
+    }
 
-            // Guesser responds with a few attempts informed by the hints.
-            let Some(candidates) = world.guess_candidates(task, hints_sent, 8) else {
-                break 'round;
-            };
-            for _ in 0..GUESSES_PER_HINT {
-                let guess = pg
-                    .behavior
-                    .guess(&candidates, world.vocabulary(), pg.skill, rng);
-                let latency = pg.response.sample(
-                    match &guess {
-                        Answer::Text(l) => Some(l),
-                        _ => None,
-                    },
-                    rng,
-                );
-                cursor += latency;
-                if cursor > deadline {
-                    break 'round;
-                }
-                match round.submit(Seat::Right, guess, cursor) {
-                    SubmitOutcome::Matched(_) => {
-                        matched = true;
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::BothPassed => {
-                        end = cursor;
-                        break 'round;
-                    }
-                    SubmitOutcome::RoundOver => {
-                        break 'round;
-                    }
-                    _ => {}
-                }
-            }
-        }
-
-        let result = round.finish(end.min(deadline));
-        let facts_out = result.validated_facts();
-        let n_facts = facts_out.len() as u32;
-        for (_, clue) in facts_out {
-            let _ = platform.ingest_agreement(task, clue, narrator, guesser);
-        }
-        let duration = result.duration;
-        let rule = platform.score_rule();
-        let points = [
-            rule.round_score(matched, duration.as_secs_f64(), streaks[0]),
-            rule.round_score(matched, duration.as_secs_f64(), streaks[1]),
-        ];
-        for s in &mut streaks {
-            *s = if matched { *s + 1 } else { 0 };
-        }
-        session.record_round(RoundRecord {
+    let end = end.min(deadline);
+    let result = round.finish(end);
+    let facts_out = result.validated_facts();
+    let candidate_outputs = facts_out.len() as u32;
+    let [narrator, guesser] = table.seats();
+    let agreements = facts_out
+        .into_iter()
+        .map(|(_, clue)| (clue, narrator, guesser))
+        .collect();
+    let duration = result.duration;
+    let points = table.score(matched, duration);
+    (
+        RoundRecord {
             template: TemplateKind::InversionProblem,
             task,
             matched,
-            candidate_outputs: n_facts,
+            candidate_outputs,
             duration,
             points,
-        });
-        now = end.min(deadline) + INTER_ROUND_GAP;
-    }
-
-    let transcript = session.finish(now);
-    platform.record_session(&transcript);
-    if hc_obs::active() {
-        hc_obs::span(
-            "games",
-            "verbosity.session",
-            start.ticks(),
-            transcript.ended.ticks(),
-            &[
-                ("rounds", transcript.rounds().into()),
-                ("matched", transcript.matched_count().into()),
-            ],
-        );
-    }
-    transcript
+        },
+        PlayedRound {
+            task,
+            agreements,
+            recording: None,
+        },
+        end,
+    )
 }
 
 #[cfg(test)]
@@ -399,10 +404,12 @@ mod tests {
             &mut platform,
             &world,
             &mut pop,
-            PlayerId::new(0),
-            PlayerId::new(1),
-            SessionId::new(0),
-            SimTime::ZERO,
+            SessionParams::pair(
+                PlayerId::new(0),
+                PlayerId::new(1),
+                SessionId::new(0),
+                SimTime::ZERO,
+            ),
             &mut r,
         );
         assert!(t.rounds() > 0);
@@ -428,10 +435,12 @@ mod tests {
                     &mut platform,
                     &world,
                     &mut pop,
-                    PlayerId::new(0),
-                    PlayerId::new(1),
-                    SessionId::new(s),
-                    SimTime::from_secs(s * 1000),
+                    SessionParams::pair(
+                        PlayerId::new(0),
+                        PlayerId::new(1),
+                        SessionId::new(s),
+                        SimTime::from_secs(s * 1000),
+                    ),
                     &mut r,
                 );
                 matched += t.matched_count();
@@ -465,10 +474,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 &mut r,
             );
         }
@@ -527,10 +538,12 @@ mod tests {
                 &mut platform,
                 &world,
                 &mut pop,
-                PlayerId::new(0),
-                PlayerId::new(1),
-                SessionId::new(s),
-                SimTime::from_secs(s * 1000),
+                SessionParams::pair(
+                    PlayerId::new(0),
+                    PlayerId::new(1),
+                    SessionId::new(s),
+                    SimTime::from_secs(s * 1000),
+                ),
                 &mut r,
             );
         }

@@ -171,6 +171,16 @@ impl BaseWorld {
     }
 }
 
+/// `correct / total` of a `(correct, total)` precision count; 1.0 when
+/// nothing was verified.
+pub(crate) fn precision_rate((correct, total): (usize, usize)) -> f64 {
+    if total == 0 {
+        1.0
+    } else {
+        correct as f64 / total as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

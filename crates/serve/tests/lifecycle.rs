@@ -468,6 +468,62 @@ fn taboo_label_is_rejected_on_resubmission() {
     }
 }
 
+/// Raw wire spellings normalize before the service compares them: a
+/// re-cased, re-punctuated taboo word is refused, and differently cased
+/// answers agree.
+#[test]
+fn wire_spellings_normalize_before_taboo_and_agreement() {
+    let mut svc = svc();
+    publish(&mut svc, 1);
+    let a = register(&mut svc);
+    let b = register(&mut svc);
+    let s1 = seat_pair(&mut svc, a, b, SimTime::ZERO);
+    let line = |svc: &mut Service, json: String| -> Response {
+        serde_json::from_str(&hc_serve::front::handle_line(&json, svc)).expect("a response")
+    };
+    let submit = |session: SessionId, player: PlayerId, text: &str, secs: u64| {
+        format!(
+            r#"{{"SubmitAnswer":{{"session":{},"player":{},"answer":{{"Text":{text:?}}},"at":{}}}}}"#,
+            session.raw(),
+            player.raw(),
+            SimTime::from_secs(secs).ticks()
+        )
+    };
+    svc.handle(&Request::RequestTask {
+        session: s1,
+        player: a,
+        at: SimTime::ZERO,
+    });
+    line(&mut svc, submit(s1, a, "  SUN! ", 1));
+    match line(&mut svc, submit(s1, b, "sun", 2)) {
+        Response::AnswerRecorded {
+            outcome: RoundOutcome::Matched { label, promoted },
+            ..
+        } => {
+            assert_eq!(label, Label::new("sun"));
+            assert!(promoted);
+        }
+        other => panic!("differently cased answers must agree: {other:?}"),
+    }
+    // A fresh pair on the now-tabooed task.
+    let c = register(&mut svc);
+    let d = register(&mut svc);
+    let s2 = seat_pair(&mut svc, c, d, SimTime::from_secs(5));
+    svc.handle(&Request::RequestTask {
+        session: s2,
+        player: c,
+        at: SimTime::from_secs(5),
+    });
+    for spelling in ["Sun!", "  SUNS ", "sun."] {
+        match line(&mut svc, submit(s2, c, spelling, 6)) {
+            Response::Error {
+                error: ServeError::TabooLabel { label },
+            } => assert_eq!(label, Label::new("sun")),
+            other => panic!("taboo spelling {spelling:?} must be refused: {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn cancel_job_stops_it_and_is_idempotent() {
     let mut svc = svc();

@@ -349,6 +349,26 @@ fn responses_round_trip_through_strings_and_values() {
     }
 }
 
+/// Labels arriving as text normalize on decode, exactly as
+/// `Label::new` would: the service never sees raw player spelling.
+#[test]
+fn text_labels_normalize_on_decode() {
+    let answer: Answer = serde_json::from_str(r#"{"Text":"  CAT! "}"#).expect("decodes");
+    assert_eq!(answer, Answer::text("cat"));
+    let line =
+        r#"{"SubmitAnswer":{"session":2,"player":4,"answer":{"Text":"Tabbies!"},"at":12000000}}"#;
+    let request: Request = serde_json::from_str(line).expect("decodes");
+    assert_eq!(
+        request,
+        Request::SubmitAnswer {
+            session: SessionId::new(2),
+            player: PlayerId::new(4),
+            answer: Answer::text("tabby"),
+            at: SimTime::from_secs(12),
+        }
+    );
+}
+
 #[test]
 fn wire_image_matches_golden() {
     assert_eq!(

@@ -49,10 +49,12 @@ fn main() {
             &mut platform,
             &world,
             &mut population,
-            narrator,
-            guesser,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(
+                narrator,
+                guesser,
+                SessionId::new(s),
+                SimTime::from_secs(s * 1_000),
+            ),
             &mut rng,
         );
         matched += t.matched_count();

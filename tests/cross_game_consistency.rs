@@ -84,10 +84,7 @@ fn tagatune_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             0.5,
             &mut rng,
         );
@@ -106,10 +103,7 @@ fn verbosity_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             &mut rng,
         );
         check_transcript(&t, &platform);
@@ -127,10 +121,7 @@ fn peekaboom_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             &mut rng,
         );
         check_transcript(&t, &platform);
@@ -154,10 +145,7 @@ fn matchin_sessions_respect_shared_invariants() {
             &mut platform,
             &world,
             &mut pop,
-            a,
-            b,
-            SessionId::new(s),
-            SimTime::from_secs(s * 1_000),
+            SessionParams::pair(a, b, SessionId::new(s), SimTime::from_secs(s * 1_000)),
             &mut ranking,
             &mut rng,
         );
@@ -178,10 +166,7 @@ fn ledger_time_accounting_is_consistent_across_games() {
         &mut platform,
         &world,
         &mut pop,
-        a,
-        b,
-        SessionId::new(0),
-        SimTime::ZERO,
+        SessionParams::pair(a, b, SessionId::new(0), SimTime::ZERO),
         0.5,
         &mut rng,
     );

@@ -218,10 +218,12 @@ fn matchin_with_one_image_cannot_form_pairs() {
         &mut platform,
         &world,
         &mut pop,
-        PlayerId::new(0),
-        PlayerId::new(1),
-        SessionId::new(0),
-        SimTime::ZERO,
+        SessionParams::pair(
+            PlayerId::new(0),
+            PlayerId::new(1),
+            SessionId::new(0),
+            SimTime::ZERO,
+        ),
         &mut ranking,
         &mut rng,
     );
